@@ -3,7 +3,7 @@
 The central column of the triangle is generated by
 P = 1/sqrt(1 - 2x - 3x^2); each further diagonal is P times a power of
 the shift factor nu = (1 - x - sqrt(1 - 2x - 3x^2))/2.  Everything here
-is a truncated series over exact rationals: equalities printed below are
+is a truncated series over the integers: equalities printed below are
 coefficient-for-coefficient identities, not floating approximations.
 """
 
@@ -38,7 +38,7 @@ def main() -> None:
 
     print()
     print("reading a diagonal off its series (lam = 2, coefficient of x^(n+2)):")
-    ints = gf_Z(2, ORDER).integer_coefficients()
+    ints = gf_Z(2, ORDER).coeffs
     print(" ", [ints[n + 2] for n in range(10)])
 
     print()

@@ -9,12 +9,7 @@ floating point.  The `methods` registry gives all routes one signature so
 they can be cross-checked mechanically.
 """
 
-from .binomial import (
-    central_binomial_step,
-    char,
-    product_collapse_check,
-    product_swap_check,
-)
+from .binomial import char, product_collapse_check, product_swap_check
 from .diagonal_sums import (
     central_p_factor_series,
     z_sum_form1,
@@ -29,7 +24,7 @@ from .differences import (
     stepwise_chain,
     z_from_differences,
 )
-from .exact import ExactnessError, as_integer, div_exact, is_integral
+from .exact import ExactnessError, div_exact
 from .methods import METHOD_NAMES, central_values, diagonal_values, first_mismatch
 from .quadrature import (
     QuadratureError,
@@ -49,12 +44,9 @@ from .triangle import TrinomialTriangle, build_triangle, leading_term_check
 __all__ = [
     "ExactnessError",
     "div_exact",
-    "is_integral",
-    "as_integer",
     "char",
     "product_swap_check",
     "product_collapse_check",
-    "central_binomial_step",
     "TrinomialTriangle",
     "build_triangle",
     "leading_term_check",

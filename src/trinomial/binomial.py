@@ -9,7 +9,6 @@ carrying explicit upper bounds.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 
 from .exact import div_exact
@@ -18,7 +17,6 @@ __all__ = [
     "char",
     "product_swap_check",
     "product_collapse_check",
-    "central_binomial_step",
 ]
 
 
@@ -68,9 +66,3 @@ def product_collapse_check(n: int, alpha: int, beta: int) -> bool:
     rhs = char(alpha + beta, alpha) * char(n, alpha + beta)
     return lhs == rhs
 
-
-def central_binomial_step(alpha: int) -> Fraction:
-    """Ratio C(2a+2, a+1) / C(2a, a) as an exact rational: (4a+2)/(a+1)."""
-    if alpha < 0:
-        raise ValueError(f"negative index: {alpha}")
-    return Fraction(4 * alpha + 2, alpha + 1)

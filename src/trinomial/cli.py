@@ -27,7 +27,7 @@ import time
 from typing import Iterable, Optional, Sequence
 
 from . import methods, quadrature, series, triangle
-from .exact import parse_rational
+from .exact import ExactnessError, parse_rational
 
 _FORMATS = ("table", "csv", "json")
 
@@ -276,6 +276,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except ExactnessError as exc:  # a bug in the package, not bad input
+        print(f"integrality error: {exc}", file=sys.stderr)
+        return 4
     except (ValueError, IndexError, ZeroDivisionError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -8,15 +8,14 @@ Three different reindexings of the same double sum are implemented
 separately on purpose: they disagree the moment any one of them is wrong,
 which is the whole point of keeping them independent.  A fourth route
 multiplies each term into the next by a rational ratio instead of
-evaluating binomials from scratch.
+evaluating binomials from scratch; every such step is an exact integer
+division.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .binomial import central_binomial_step, char
-from .exact import as_integer
+from .binomial import char
+from .exact import div_exact
 
 __all__ = [
     "z_sum_form1",
@@ -95,21 +94,19 @@ def z_term_ratio(n: int, lam: int) -> tuple[int, list[int]]:
     integer even though the ratio is not.
     """
     _check_indices(n, lam)
-    first = char(n, lam)
-    if first == 0:
+    term = char(n, lam)
+    if term == 0:
         return 0, []
-    terms = [first]
-    term = Fraction(first)
+    terms = [term]
     a = 0
     while True:
-        ratio = Fraction(
-            (n - 2 * a - lam) * (n - 2 * a - lam - 1),
+        term = div_exact(
+            term * (n - 2 * a - lam) * (n - 2 * a - lam - 1),
             (a + 1) * (lam + a + 1),
         )
-        term *= ratio
         if term == 0:
             break
-        terms.append(as_integer(term))
+        terms.append(term)
         a += 1
     return sum(terms), terms
 
@@ -123,12 +120,12 @@ def central_p_factor_series(n: int) -> int:
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     total = 0
-    factor = Fraction(1)
+    factor = 1
     k = 0
     while True:
         weight = char(n, 2 * k)
         if weight == 0:
             return total
-        total += as_integer(factor) * weight
-        factor *= central_binomial_step(k)
+        total += factor * weight
+        factor = div_exact(factor * (4 * k + 2), k + 1)
         k += 1

@@ -17,11 +17,10 @@ z[lam+1](n) = z[lam](n+1) - z[lam](n) - z[lam-1](n).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .binomial import char
-from .exact import ExactnessError, as_integer
+from .exact import ExactnessError, div_exact
 from .recurrences import DiagonalSequence
 
 __all__ = [
@@ -88,25 +87,26 @@ def delta_expansion_coefficients(lam: int) -> list[int]:
     coeffs = [1]
     j = 1
     while lam - 2 * j >= 0:
-        c = as_integer(Fraction(lam, j) * char(lam - j - 1, j - 1))
+        c = div_exact(lam * char(lam - j - 1, j - 1), j)
         coeffs.append(-c if j % 2 else c)
         j += 1
     return coeffs
 
 
-def z_from_differences(table: DifferenceTable, lam: int, n: int) -> int:
-    """Evaluate z(n, lam), lam >= 1, from a difference table of the p column."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+def z_from_differences(table: DifferenceTable, lam: int, max_n: int) -> list[int]:
+    """z(0..max_n, lam), lam >= 1, from a difference table of the p column."""
     coeffs = delta_expansion_coefficients(lam)
-    doubled = sum(
-        c * table.delta(lam - 2 * j, n) for j, c in enumerate(coeffs)
-    )
-    if doubled % 2:
-        raise ExactnessError(
-            f"Delta expansion for lam={lam}, n={n} gave odd value {doubled}"
-        )
-    return doubled // 2
+    if max_n < 0:
+        raise ValueError(f"max_n must be >= 0, got {max_n}")
+    values = []
+    for n in range(max_n + 1):
+        doubled = sum(c * table.delta(lam - 2 * j, n) for j, c in enumerate(coeffs))
+        if doubled % 2:
+            raise ExactnessError(
+                f"Delta expansion for lam={lam}, n={n} gave odd value {doubled}"
+            )
+        values.append(doubled // 2)
+    return values
 
 
 def stepwise_chain(

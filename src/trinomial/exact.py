@@ -1,11 +1,11 @@
 """Exact integer and rational arithmetic helpers.
 
-Python ints already give arbitrary-precision integers and
-``fractions.Fraction`` gives normalized rationals (gcd reduced, sign on the
-numerator), so this module only adds the pieces the rest of the package
-leans on: division that fails loudly when a remainder would be discarded,
-integrality checks, and strict decimal parsing/printing.  No floats are
-produced here.
+Python ints already give arbitrary-precision integers, and every route in
+the package stays in them, so this module only adds the pieces the rest of
+the package leans on: division that fails loudly when a remainder would be
+discarded, and strict decimal parsing/printing.  ``fractions.Fraction``
+appears only for inputs that really are rational, such as a quadrature
+point given as "1/4".  No floats are produced here.
 """
 
 from __future__ import annotations
@@ -16,8 +16,6 @@ from fractions import Fraction
 __all__ = [
     "ExactnessError",
     "div_exact",
-    "is_integral",
-    "as_integer",
     "parse_integer",
     "parse_rational",
     "format_rational",
@@ -29,7 +27,8 @@ _RATIONAL_RE = re.compile(r"([+-]?[0-9]+)(?:/([+-]?[0-9]+))?\Z")
 
 
 class ExactnessError(ArithmeticError):
-    """A computation that must stay in the integers produced a remainder.
+    """An exact identity the code relies on failed, typically a division
+    that must stay in the integers produced a remainder.
 
     This always signals a bug in the caller (a formula whose divisibility
     guarantee was violated), never bad user input.
@@ -48,17 +47,6 @@ def div_exact(a: int, b: int) -> int:
     if r != 0:
         raise ExactnessError(f"{a} is not divisible by {b}")
     return q
-
-
-def is_integral(q: Fraction) -> bool:
-    return q.denominator == 1
-
-
-def as_integer(q: Fraction) -> int:
-    """Collapse a Fraction known to be integral down to an int."""
-    if q.denominator != 1:
-        raise ExactnessError(f"{q} is not an integer")
-    return q.numerator
 
 
 def parse_integer(text: str) -> int:

@@ -10,17 +10,17 @@ leading factor deformed:
     z(n+2) = (n + 2) / ((n + 2)^2 - lam^2) * ((2n + 3) z(n+1) + 3 (n + 1) z(n)).
 
 Every step divides by (n + 2)^2 - lam^2, which is positive for all steps
-taken here; that and the integrality of every produced value are asserted
-rather than trusted, since a wrong recurrence usually announces itself as
-a fraction long before it produces a plausible-looking wrong integer.
+taken here; that and the integrality of every produced value are checked
+rather than trusted (each division is a div_exact), since a wrong
+recurrence usually announces itself as a remainder long before it
+produces a plausible-looking wrong integer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .exact import as_integer
+from .exact import ExactnessError, div_exact
 
 __all__ = ["DiagonalSequence", "central_sequence", "general_sequence"]
 
@@ -50,8 +50,8 @@ def central_sequence(max_n: int) -> DiagonalSequence:
     values = [1, 1][: max_n + 1]
     for m in range(2, max_n + 1):
         n = m - 2
-        nxt = values[m - 1] + Fraction(n + 1, n + 2) * (values[m - 1] + 3 * values[m - 2])
-        values.append(as_integer(nxt))
+        step = div_exact((n + 1) * (values[m - 1] + 3 * values[m - 2]), n + 2)
+        values.append(values[m - 1] + step)
     return DiagonalSequence(0, tuple(values), "recurrence")
 
 
@@ -75,9 +75,8 @@ def general_sequence(lam: int, max_n: int) -> DiagonalSequence:
     for m in range(lam + 2, max_n + 1):
         n = m - 2
         denom = (n + 2) ** 2 - lam * lam
-        assert denom > 0, f"recurrence used outside its region: n={n}, lam={lam}"
-        nxt = Fraction(n + 2, denom) * (
-            (2 * n + 3) * values[m - 1] + 3 * (n + 1) * values[m - 2]
-        )
-        values.append(as_integer(nxt))
+        if denom <= 0:
+            raise ExactnessError(f"recurrence used outside its region: n={n}, lam={lam}")
+        total = (2 * n + 3) * values[m - 1] + 3 * (n + 1) * values[m - 2]
+        values.append(div_exact((n + 2) * total, denom))
     return DiagonalSequence(lam, tuple(values), "recurrence")

@@ -1,10 +1,10 @@
-"""Truncated formal power series over exact rationals, and the generating
+"""Truncated formal power series over the integers, and the generating
 functions whose coefficients are the diagonals of (1 + x + x^2)^n.
 
 A PowerSeries carries its truncation order explicitly and refuses to mix
 with a series of a different order: silent truncation is how generating
-function bugs hide.  All coefficient arithmetic is fractions.Fraction, so
-equality of series means equality, not closeness.
+function bugs hide.  Every coefficient is an int and every division is a
+div_exact, so a quotient that leaves the integers raises.
 
 The generating functions:
 
@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Sequence, Union
 
-from .exact import ExactnessError, as_integer, format_rational
+from .exact import ExactnessError, div_exact
 
 __all__ = [
     "PowerSeries",
@@ -34,15 +34,13 @@ __all__ = [
     "b_substitution_check",
 ]
 
-Scalar = Union[int, Fraction]
-
 # ---------------------------------------------------------------------------
 # raw coefficient-tuple kernels
 
 
-def _mul(a: tuple[Fraction, ...], b: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
+def _mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     order = len(a) - 1
-    out = [Fraction(0)] * (order + 1)
+    out = [0] * (order + 1)
     for i, ai in enumerate(a):
         if not ai:
             continue
@@ -53,17 +51,17 @@ def _mul(a: tuple[Fraction, ...], b: tuple[Fraction, ...]) -> tuple[Fraction, ..
     return tuple(out)
 
 
-def _div(a: tuple[Fraction, ...], b: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
+def _div(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     if not b[0]:
         raise ZeroDivisionError("division by a series with zero constant term")
     order = len(a) - 1
-    out: list[Fraction] = []
+    out: list[int] = []
     for k in range(order + 1):
         acc = a[k]
         for i, ci in enumerate(out):
             if ci:
                 acc -= ci * b[k - i]
-        out.append(acc / b[0])
+        out.append(div_exact(acc, b[0]))
     return tuple(out)
 
 
@@ -74,11 +72,14 @@ def _div(a: tuple[Fraction, ...], b: tuple[Fraction, ...]) -> tuple[Fraction, ..
 class PowerSeries:
     """Formal power series truncated after x^order; coeffs[k] is for x^k."""
 
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple[int, ...]
 
     def __post_init__(self) -> None:
         if len(self.coeffs) == 0:
             raise ValueError("a series needs at least the constant coefficient")
+        for c in self.coeffs:
+            if type(c) is not int:
+                raise TypeError(f"series coefficients must be int, got {c!r}")
 
     @property
     def order(self) -> int:
@@ -91,14 +92,10 @@ class PowerSeries:
                 "truncate explicitly before combining"
             )
 
-    def coefficient(self, k: int) -> Fraction:
+    def coefficient(self, k: int) -> int:
         if not 0 <= k <= self.order:
             raise IndexError(f"coefficient {k} beyond truncation order {self.order}")
         return self.coeffs[k]
-
-    def integer_coefficients(self) -> tuple[int, ...]:
-        """All coefficients as ints; raises if any is fractional."""
-        return tuple(as_integer(c) for c in self.coeffs)
 
     # -- ring operations ----------------------------------------------------
 
@@ -113,24 +110,22 @@ class PowerSeries:
     def __neg__(self) -> PowerSeries:
         return PowerSeries(tuple(-a for a in self.coeffs))
 
-    def __mul__(self, other: Union[PowerSeries, Scalar]) -> PowerSeries:
+    def __mul__(self, other: Union[PowerSeries, int]) -> PowerSeries:
         if isinstance(other, PowerSeries):
             self._match(other)
             return PowerSeries(_mul(self.coeffs, other.coeffs))
-        if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            return PowerSeries(tuple(a * c for a in self.coeffs))
-        return NotImplemented  # floats in particular are refused
+        if type(other) is int:
+            return PowerSeries(tuple(a * other for a in self.coeffs))
+        return NotImplemented  # floats and Fractions in particular are refused
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other: Union[PowerSeries, Scalar]) -> PowerSeries:
+    def __truediv__(self, other: Union[PowerSeries, int]) -> PowerSeries:
         if isinstance(other, PowerSeries):
             self._match(other)
             return PowerSeries(_div(self.coeffs, other.coeffs))
-        if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            return PowerSeries(tuple(a / c for a in self.coeffs))
+        if type(other) is int:
+            return PowerSeries(tuple(div_exact(a, other) for a in self.coeffs))
         return NotImplemented
 
     def __pow__(self, exponent: int) -> PowerSeries:
@@ -151,19 +146,21 @@ class PowerSeries:
         """Square root by Newton iteration s <- (s + a/s) / 2.
 
         Requires unit constant term.  Each pass doubles the number of
-        correct coefficients; the result is certified by squaring back,
-        so a wrong root cannot escape.
+        correct coefficients.  If the root is an integer series, s + a/s
+        truncated at the new target is exactly twice it, so the halving is
+        a div_exact and a radicand with no integer root raises there.  The
+        result is certified by squaring back, so a wrong root cannot escape.
         """
         if self.coeffs[0] != 1:
             raise ValueError("sqrt requires constant term 1")
         order = self.order
-        s: tuple[Fraction, ...] = (Fraction(1),)
+        s: tuple[int, ...] = (1,)
         while len(s) - 1 < order:
             target = min(2 * (len(s) - 1) + 1, order)
             a = self.coeffs[: target + 1]
-            padded = s + (Fraction(0),) * (target + 1 - len(s))
+            padded = s + (0,) * (target + 1 - len(s))
             quotient = _div(a, padded)
-            s = tuple((u + v) / 2 for u, v in zip(padded, quotient))
+            s = tuple(div_exact(u + v, 2) for u, v in zip(padded, quotient))
         root = PowerSeries(s)
         if (root * root).coeffs != self.coeffs:
             raise ExactnessError("square root certification failed")
@@ -179,16 +176,16 @@ class PowerSeries:
         return acc
 
     def csv_rows(self) -> Iterator[tuple[int, str, str]]:
-        """(degree, numerator, denominator) per coefficient, as strings."""
+        """(degree, numerator, denominator = 1) per coefficient, as strings."""
         for k, c in enumerate(self.coeffs):
-            yield k, str(c.numerator), str(c.denominator)
+            yield k, str(c), "1"
 
     def __str__(self) -> str:
         parts: list[str] = []
         for k, c in enumerate(self.coeffs):
             if not c:
                 continue
-            mag = format_rational(abs(c))
+            mag = str(abs(c))
             if k == 0:
                 body = mag
             else:
@@ -204,7 +201,7 @@ class PowerSeries:
         return " ".join(parts)
 
 
-def polynomial(coeffs: Sequence[Scalar], order: int) -> PowerSeries:
+def polynomial(coeffs: Sequence[int], order: int) -> PowerSeries:
     """A polynomial viewed as a series of the given truncation order."""
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
@@ -213,7 +210,7 @@ def polynomial(coeffs: Sequence[Scalar], order: int) -> PowerSeries:
             f"{len(coeffs)} coefficients do not fit in truncation order {order}"
         )
     padded = list(coeffs) + [0] * (order + 1 - len(coeffs))
-    return PowerSeries(tuple(Fraction(c) for c in padded))
+    return PowerSeries(tuple(padded))
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +232,8 @@ def gf_P(order: int) -> PowerSeries:
 def gf_nu(order: int) -> PowerSeries:
     """nu = (1 - x - sqrt(1 - 2x - 3x^2)) / 2; starts at x^2."""
     nu = (polynomial([1, -1][: order + 1], order) - _radicand(order).sqrt()) / 2
-    assert nu.coeffs[0] == 0 and (order == 0 or nu.coeffs[1] == 0)
+    if any(nu.coeffs[:2]):
+        raise ExactnessError(f"nu does not start at x^2: {nu}")
     return nu
 
 

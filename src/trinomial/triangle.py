@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import IO
 
-from .exact import as_integer
+from .exact import div_exact
 
 __all__ = ["TrinomialTriangle", "build_triangle", "leading_term_check"]
 
@@ -86,11 +85,11 @@ def build_triangle(max_n: int) -> TrinomialTriangle:
 # Closed forms for the first few coefficients of a row, valid for every n
 # once out-of-range k is excluded.  Keyed by k.
 _LEADING_FORMS = {
-    1: lambda n: Fraction(n),
-    2: lambda n: Fraction(n * (n + 1), 2),
-    3: lambda n: Fraction(n * (n - 1) * (n + 4), 6),
-    4: lambda n: Fraction(n * (n - 1) * (n * n + 7 * n - 6), 24),
-    5: lambda n: Fraction(n * (n + 1) * (n - 1) * (n - 2) * (n + 12), 120),
+    1: lambda n: n,
+    2: lambda n: div_exact(n * (n + 1), 2),
+    3: lambda n: div_exact(n * (n - 1) * (n + 4), 6),
+    4: lambda n: div_exact(n * (n - 1) * (n * n + 7 * n - 6), 24),
+    5: lambda n: div_exact(n * (n + 1) * (n - 1) * (n - 2) * (n + 12), 120),
 }
 
 
@@ -104,6 +103,6 @@ def leading_term_check(tri: TrinomialTriangle, n: int) -> bool:
     for k, form in _LEADING_FORMS.items():
         if k > 2 * n:
             continue
-        if as_integer(form(n)) != row[k]:
+        if form(n) != row[k]:
             return False
     return True

@@ -70,7 +70,7 @@ def test_criterion_05_cross_method_consistency() -> None:
     tri = t.build_triangle(200)
     for lam in range(9):
         rec = t.general_sequence(lam, 200).values
-        ser = t.gf_Z(lam, 200 + lam).integer_coefficients()
+        ser = t.gf_Z(lam, 200 + lam).coeffs
         for n in range(201):
             if not (rec[n] == ser[n + lam] == tri.coeff(n, n + lam)):
                 ok = False
@@ -86,10 +86,10 @@ def test_criterion_05_cross_method_consistency() -> None:
 
 
 def test_criterion_06_generating_functions() -> None:
-    ok = t.gf_P(60).integer_coefficients() == t.central_sequence(60).values
+    ok = t.gf_P(60).coeffs == t.central_sequence(60).values
     tri = t.build_triangle(60)
     for lam in range(9):
-        ints = t.gf_Z(lam, 60).integer_coefficients()
+        ints = t.gf_Z(lam, 60).coeffs
         if any(ints[n + lam] != tri.coeff(n, n + lam) for n in range(61 - lam)):
             ok = False
     one_minus_x = t.polynomial([1, -1], 60)

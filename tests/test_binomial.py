@@ -1,16 +1,10 @@
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 import pytest
 
-from trinomial.binomial import (
-    central_binomial_step,
-    char,
-    product_collapse_check,
-    product_swap_check,
-)
+from trinomial.binomial import char, product_collapse_check, product_swap_check
 
 
 def test_char_matches_stdlib_comb_exhaustive() -> None:
@@ -64,18 +58,3 @@ def test_product_checks_out_of_range_indices() -> None:
     assert product_collapse_check(2, 2, 2)
     with pytest.raises(ValueError):
         product_swap_check(3, -1, 0)
-
-
-def test_central_binomial_step_values() -> None:
-    assert central_binomial_step(0) == 2
-    assert central_binomial_step(1) == 3
-    assert central_binomial_step(2) == Fraction(10, 3)
-    with pytest.raises(ValueError):
-        central_binomial_step(-1)
-
-
-def test_central_binomial_step_builds_central_binomials() -> None:
-    acc = Fraction(1)
-    for k in range(30):
-        assert acc == math.comb(2 * k, k)
-        acc *= central_binomial_step(k)

@@ -6,7 +6,8 @@ import json
 
 import pytest
 
-from trinomial import cli
+from trinomial import cli, methods
+from trinomial.exact import ExactnessError
 
 
 def _run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -159,3 +160,14 @@ def test_unknown_verb_exits_two(capsys) -> None:
     with pytest.raises(SystemExit) as excinfo:
         cli.main(["frobnicate"])
     assert excinfo.value.code == 2
+
+
+def test_integrality_failure_exits_four(capsys, monkeypatch) -> None:
+    def broken(lams, max_n):
+        raise ExactnessError("7 is not divisible by 2")
+
+    monkeypatch.setitem(methods._METHODS, "recurrence", broken)
+    code, out, err = _run(capsys, "central", "--max-n", "5")
+    assert code == 4
+    assert out == ""
+    assert "not divisible" in err

@@ -7,11 +7,9 @@ import pytest
 
 from trinomial.exact import (
     ExactnessError,
-    as_integer,
     decimal_string,
     div_exact,
     format_rational,
-    is_integral,
     parse_integer,
     parse_rational,
 )
@@ -71,14 +69,6 @@ def test_rational_round_trip() -> None:
         assert (p + r) - r == p
         if r != 0:
             assert (p / r) * r == p
-
-
-def test_is_integral_and_as_integer() -> None:
-    assert is_integral(Fraction(10, 2))
-    assert not is_integral(Fraction(10, 3))
-    assert as_integer(Fraction(10, 2)) == 5
-    with pytest.raises(ExactnessError):
-        as_integer(Fraction(1, 3))
 
 
 @pytest.mark.parametrize("text,value", [("0", 0), ("-123", -123), ("+7", 7)])
