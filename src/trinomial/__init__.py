@@ -18,7 +18,6 @@ from .diagonal_sums import (
     z_term_ratio,
 )
 from .differences import (
-    DifferenceTable,
     build_difference_table,
     delta_expansion_coefficients,
     stepwise_chain,
@@ -37,7 +36,7 @@ from .quadrature import (
     integrate_0_pi,
     z_by_integral,
 )
-from .recurrences import DiagonalSequence, central_sequence, general_sequence
+from .recurrences import central_sequence, general_sequence
 from .series import PowerSeries, b_substitution_check, gf_P, gf_Z, gf_nu, polynomial
 from .triangle import TrinomialTriangle, build_triangle, leading_term_check
 
@@ -55,10 +54,8 @@ __all__ = [
     "z_sum_form3",
     "z_term_ratio",
     "central_p_factor_series",
-    "DiagonalSequence",
     "central_sequence",
     "general_sequence",
-    "DifferenceTable",
     "build_difference_table",
     "delta_expansion_coefficients",
     "z_from_differences",

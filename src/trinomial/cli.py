@@ -9,7 +9,6 @@ Verbs:
     gf          coefficients of P (lam = 0) or Z[lam]
     quad        one quadrature verification (z or gf form)
     identity    the b-substitution integral identities
-    bench       rough per-value timings of each method
 
 Exact integers are printed as decimal strings in every format, including
 JSON, so nothing is ever squeezed through a double.  crosscheck and
@@ -23,7 +22,6 @@ import argparse
 import csv
 import json
 import sys
-import time
 from typing import Iterable, Optional, Sequence
 
 from . import methods, quadrature, series, triangle
@@ -180,28 +178,6 @@ def _cmd_identity(args: argparse.Namespace) -> int:
     return 1 if failures else 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    chosen = args.methods.split(",") if args.methods else list(methods.METHOD_NAMES)
-    rows = []
-    for name in chosen:
-        methods.clear_caches()
-        start = time.perf_counter_ns()
-        methods.central_values(name, args.max_n)
-        elapsed = time.perf_counter_ns() - start
-        rows.append([name, elapsed // (args.max_n + 1)])
-    _emit_rows(
-        args.format,
-        ["method", "ns_per_value"],
-        rows,
-        {
-            "command": "bench",
-            "max_n": args.max_n,
-            "timings": [{"method": m, "ns_per_value": t} for m, t in rows],
-        },
-    )
-    return 0
-
-
 def _add_format(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=_FORMATS, default="table")
 
@@ -263,17 +239,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-9)
     p.set_defaults(func=_cmd_identity)
 
-    p = sub.add_parser("bench", help="time each method")
-    p.add_argument("--max-n", type=int, required=True)
-    p.add_argument("--methods", help="comma-separated subset (default: all)")
-    _add_format(p)
-    p.set_defaults(func=_cmd_bench)
-
     return parser
 
 
+def _attach_negative_values(argv: Sequence[str]) -> list[str]:
+    """Write "--x -1/2" as "--x=-1/2".
+
+    argparse only takes plain negative decimals such as -3 for values, so
+    a negative rational or exponent after an option would be read as an
+    unknown flag.
+    """
+    out: list[str] = []
+    for arg in argv:
+        prev = out[-1] if out else ""
+        if prev.startswith("--") and "=" not in prev and arg[:1] == "-" and arg[1:2].isdigit():
+            out[-1] = f"{prev}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(_attach_negative_values(argv))
     try:
         return args.func(args)
     except ExactnessError as exc:  # a bug in the package, not bad input

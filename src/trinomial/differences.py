@@ -9,22 +9,19 @@ its difference table: with Delta^k the k-th forward difference in n,
 where c_j = (lam / j) * C(lam - j - 1, j - 1) and the sum stops while
 lam - 2j >= 0.  The right-hand side is always even; the halving is checked.
 
-A second, stepwise route builds the diagonals one at a time:
+The paper's stepwise chain builds the diagonals one at a time:
 q(n) = (p(n+1) - p(n)) / 2 and then
 z[lam+1](n) = z[lam](n+1) - z[lam](n) - z[lam-1](n).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .binomial import char
 from .exact import ExactnessError, div_exact
-from .recurrences import DiagonalSequence
 
 __all__ = [
-    "DifferenceTable",
     "build_difference_table",
     "delta_expansion_coefficients",
     "z_from_differences",
@@ -32,37 +29,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DifferenceTable:
-    """Forward differences of an integer sequence.
+def build_difference_table(
+    base: Sequence[int], max_order: int
+) -> tuple[tuple[int, ...], ...]:
+    """Forward differences of an integer sequence, orders 0..max_order.
 
-    rows[j][i] is Delta^j applied to the base sequence, evaluated at index
-    i; rows[0] is the base itself.  Row j is one entry shorter than row
-    j-1, so a table of depth d needs a base of length at least d + 1.
+    rows[j][i] is Delta^j of the base at index i; rows[0] is the base
+    itself, and each row is one entry shorter than the one before.
     """
-
-    rows: tuple[tuple[int, ...], ...]
-
-    @property
-    def max_order(self) -> int:
-        return len(self.rows) - 1
-
-    @property
-    def base(self) -> tuple[int, ...]:
-        return self.rows[0]
-
-    def delta(self, order: int, i: int) -> int:
-        if not 0 <= order <= self.max_order:
-            raise IndexError(f"difference order {order} not built (have 0..{self.max_order})")
-        row = self.rows[order]
-        if not 0 <= i < len(row):
-            raise IndexError(
-                f"Delta^{order} at index {i} needs a longer base sequence"
-            )
-        return row[i]
-
-
-def build_difference_table(base: Sequence[int], max_order: int) -> DifferenceTable:
     if max_order < 0:
         raise ValueError(f"max_order must be >= 0, got {max_order}")
     if len(base) <= max_order:
@@ -73,7 +47,7 @@ def build_difference_table(base: Sequence[int], max_order: int) -> DifferenceTab
     for _ in range(max_order):
         prev = rows[-1]
         rows.append(tuple(prev[i + 1] - prev[i] for i in range(len(prev) - 1)))
-    return DifferenceTable(tuple(rows))
+    return tuple(rows)
 
 
 def delta_expansion_coefficients(lam: int) -> list[int]:
@@ -93,14 +67,20 @@ def delta_expansion_coefficients(lam: int) -> list[int]:
     return coeffs
 
 
-def z_from_differences(table: DifferenceTable, lam: int, max_n: int) -> list[int]:
-    """z(0..max_n, lam), lam >= 1, from a difference table of the p column."""
+def z_from_differences(
+    rows: Sequence[Sequence[int]], lam: int, max_n: int
+) -> list[int]:
+    """z(0..max_n, lam), lam >= 1, from a difference table of the p column.
+
+    Every index is nonnegative, so a table too short for (lam, max_n)
+    raises IndexError.
+    """
     coeffs = delta_expansion_coefficients(lam)
     if max_n < 0:
         raise ValueError(f"max_n must be >= 0, got {max_n}")
     values = []
     for n in range(max_n + 1):
-        doubled = sum(c * table.delta(lam - 2 * j, n) for j, c in enumerate(coeffs))
+        doubled = sum(c * rows[lam - 2 * j][n] for j, c in enumerate(coeffs))
         if doubled % 2:
             raise ExactnessError(
                 f"Delta expansion for lam={lam}, n={n} gave odd value {doubled}"
@@ -111,10 +91,11 @@ def z_from_differences(table: DifferenceTable, lam: int, max_n: int) -> list[int
 
 def stepwise_chain(
     p_values: Sequence[int], max_lambda: int, max_n: int
-) -> list[DiagonalSequence]:
+) -> list[tuple[int, ...]]:
     """Diagonals 1..max_lambda, each for n = 0..max_n, built one from the next.
 
-    Needs p(0..max_n + max_lambda) since every step consumes one index of
+    Entry lam - 1 of the result is z(0..max_n, lam).  Needs
+    p(0..max_n + max_lambda) since every step consumes one index of
     lookahead.
     """
     if max_lambda < 1:
@@ -137,7 +118,4 @@ def stepwise_chain(
     for _ in range(2, max_lambda + 1):
         older, cur = chains[-2], chains[-1]
         chains.append([cur[i + 1] - cur[i] - older[i] for i in range(len(cur) - 1)])
-    return [
-        DiagonalSequence(lam, tuple(chains[lam][: max_n + 1]), "stepwise")
-        for lam in range(1, max_lambda + 1)
-    ]
+    return [tuple(chain[: max_n + 1]) for chain in chains[1:]]

@@ -3,7 +3,7 @@
 Python ints already give arbitrary-precision integers, and every route in
 the package stays in them, so this module only adds the pieces the rest of
 the package leans on: division that fails loudly when a remainder would be
-discarded, and strict decimal parsing/printing.  ``fractions.Fraction``
+discarded, and strict parsing of rational literals.  ``fractions.Fraction``
 appears only for inputs that really are rational, such as a quadrature
 point given as "1/4".  No floats are produced here.
 """
@@ -13,16 +13,8 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-__all__ = [
-    "ExactnessError",
-    "div_exact",
-    "parse_integer",
-    "parse_rational",
-    "format_rational",
-    "decimal_string",
-]
+__all__ = ["ExactnessError", "div_exact", "parse_rational"]
 
-_INTEGER_RE = re.compile(r"[+-]?[0-9]+\Z")
 _RATIONAL_RE = re.compile(r"([+-]?[0-9]+)(?:/([+-]?[0-9]+))?\Z")
 
 
@@ -49,16 +41,6 @@ def div_exact(a: int, b: int) -> int:
     return q
 
 
-def parse_integer(text: str) -> int:
-    """Parse a plain decimal integer like "-123".
-
-    Stricter than int(): no whitespace, no underscores, no base prefixes.
-    """
-    if not _INTEGER_RE.match(text):
-        raise ValueError(f"not a decimal integer: {text!r}")
-    return int(text)
-
-
 def parse_rational(text: str) -> Fraction:
     """Parse "22/7" or "-123" into a normalized Fraction."""
     m = _RATIONAL_RE.match(text)
@@ -73,25 +55,3 @@ def parse_rational(text: str) -> Fraction:
         raise ZeroDivisionError(f"zero denominator in {text!r}")
     return Fraction(num, den)
 
-
-def format_rational(q: Fraction) -> str:
-    """Render a Fraction as "n/d", or plain "n" when the value is integral."""
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
-
-
-def decimal_string(q: Fraction, digits: int) -> str:
-    """Render q rounded to `digits` decimal places (ties to even, exactly).
-
-    The rounding happens in integer arithmetic, so the result is correct
-    for any magnitude.
-    """
-    if digits < 0:
-        raise ValueError("digits must be >= 0")
-    scaled = round(q * 10**digits)  # round() on Fraction is exact, half-to-even
-    sign = "-" if scaled < 0 else ""
-    body = str(abs(scaled)).rjust(digits + 1, "0")
-    if digits == 0:
-        return sign + body
-    return f"{sign}{body[:-digits]}.{body[-digits:]}"

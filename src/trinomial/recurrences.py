@@ -18,32 +18,12 @@ produces a plausible-looking wrong integer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .exact import ExactnessError, div_exact
 
-__all__ = ["DiagonalSequence", "central_sequence", "general_sequence"]
+__all__ = ["central_sequence", "general_sequence"]
 
 
-@dataclass(frozen=True)
-class DiagonalSequence:
-    """Values z(0, lam) .. z(max_n, lam) of one diagonal.
-
-    values[n] is the coefficient of x^(n+lam) in (1 + x + x^2)^n; entries
-    with n < lam are zero.  The method tag records which route produced
-    the numbers.
-    """
-
-    lam: int
-    values: tuple[int, ...]
-    method: str = "recurrence"
-
-    @property
-    def max_n(self) -> int:
-        return len(self.values) - 1
-
-
-def central_sequence(max_n: int) -> DiagonalSequence:
+def central_sequence(max_n: int) -> tuple[int, ...]:
     """Central coefficients p(0..max_n) from the three-term recurrence."""
     if max_n < 0:
         raise ValueError(f"max_n must be >= 0, got {max_n}")
@@ -52,10 +32,10 @@ def central_sequence(max_n: int) -> DiagonalSequence:
         n = m - 2
         step = div_exact((n + 1) * (values[m - 1] + 3 * values[m - 2]), n + 2)
         values.append(values[m - 1] + step)
-    return DiagonalSequence(0, tuple(values), "recurrence")
+    return tuple(values)
 
 
-def general_sequence(lam: int, max_n: int) -> DiagonalSequence:
+def general_sequence(lam: int, max_n: int) -> tuple[int, ...]:
     """Diagonal z(0..max_n, lam) from the deformed three-term recurrence.
 
     Seeds: z(n) = 0 for n < lam, z(lam) = 1, z(lam + 1) = lam + 1.  The
@@ -79,4 +59,4 @@ def general_sequence(lam: int, max_n: int) -> DiagonalSequence:
             raise ExactnessError(f"recurrence used outside its region: n={n}, lam={lam}")
         total = (2 * n + 3) * values[m - 1] + 3 * (n + 1) * values[m - 2]
         values.append(div_exact((n + 2) * total, denom))
-    return DiagonalSequence(lam, tuple(values), "recurrence")
+    return tuple(values)

@@ -92,11 +92,6 @@ class PowerSeries:
                 "truncate explicitly before combining"
             )
 
-    def coefficient(self, k: int) -> int:
-        if not 0 <= k <= self.order:
-            raise IndexError(f"coefficient {k} beyond truncation order {self.order}")
-        return self.coeffs[k]
-
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other: PowerSeries) -> PowerSeries:
@@ -217,21 +212,23 @@ def polynomial(coeffs: Sequence[int], order: int) -> PowerSeries:
 # the generating functions themselves
 
 
-def _radicand(order: int) -> PowerSeries:
+@lru_cache(maxsize=None)
+def _root(order: int) -> PowerSeries:
+    """sqrt(1 - 2x - 3x^2), shared by P and nu."""
     # slicing keeps degenerate truncation orders 0 and 1 legal
-    return polynomial([1, -2, -3][: order + 1], order)
+    return polynomial([1, -2, -3][: order + 1], order).sqrt()
 
 
 @lru_cache(maxsize=None)
 def gf_P(order: int) -> PowerSeries:
     """P = 1 / sqrt(1 - 2x - 3x^2); coefficient of x^n is p(n)."""
-    return polynomial([1], order) / _radicand(order).sqrt()
+    return polynomial([1], order) / _root(order)
 
 
 @lru_cache(maxsize=None)
 def gf_nu(order: int) -> PowerSeries:
     """nu = (1 - x - sqrt(1 - 2x - 3x^2)) / 2; starts at x^2."""
-    nu = (polynomial([1, -1][: order + 1], order) - _radicand(order).sqrt()) / 2
+    nu = (polynomial([1, -1][: order + 1], order) - _root(order)) / 2
     if any(nu.coeffs[:2]):
         raise ExactnessError(f"nu does not start at x^2: {nu}")
     return nu
@@ -242,9 +239,8 @@ def gf_Z(lam: int, order: int) -> PowerSeries:
     """Z[lam] = P * nu^lam; coefficient of x^(n+lam) is z(n, lam)."""
     if lam < 0:
         raise ValueError(f"lam must be >= 0, got {lam}")
-    if lam == 0:
-        return gf_P(order)
-    return gf_Z(lam - 1, order) * gf_nu(order)
+    # nu^lam on the left: the kernel skips its 2 lam leading zeros
+    return gf_nu(order) ** lam * gf_P(order)
 
 
 def b_substitution_check(

@@ -9,9 +9,7 @@ entries, is palindromic, and sums to 3^n.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from typing import IO
 
 from .exact import div_exact
 
@@ -44,22 +42,6 @@ class TrinomialTriangle:
         if k < 0 or k >= len(row):
             return 0
         return row[k]
-
-    def write_csv(self, stream: IO[str]) -> None:
-        """Write rows as n,k,coefficient with coefficients as decimal strings."""
-        writer = csv.writer(stream)
-        writer.writerow(["n", "k", "coefficient"])
-        for n, row in enumerate(self.rows):
-            for k, value in enumerate(row):
-                writer.writerow([n, k, str(value)])
-
-    def to_json_obj(self) -> dict:
-        """JSON-ready dict; coefficients are decimal strings so no consumer
-        is tempted to round them through a double."""
-        return {
-            "max_n": self.max_n,
-            "rows": [[str(v) for v in row] for row in self.rows],
-        }
 
 
 def build_triangle(max_n: int) -> TrinomialTriangle:

@@ -1,19 +1,31 @@
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trinomial import cli, methods
 from trinomial.exact import ExactnessError
+from trinomial.recurrences import central_sequence
+from trinomial.triangle import build_triangle
 
 
 def _run(capsys, *argv: str) -> tuple[int, str, str]:
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _json_of(*argv: str) -> dict:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(list(argv)) == 0
+    return json.loads(out.getvalue())
 
 
 def test_row_table(capsys) -> None:
@@ -31,6 +43,20 @@ def test_row_json_integers_are_strings(capsys) -> None:
         "1", "5", "15", "30", "45", "51", "45", "30", "15", "5", "1",
     ]
     assert all(isinstance(v, str) for v in payload["coefficients"])
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(0, 120))
+def test_row_json_parses_back_to_the_triangle_row(n: int) -> None:
+    payload = _json_of("row", "--n", str(n), "--format", "json")
+    assert tuple(int(v) for v in payload["coefficients"]) == build_triangle(n).row(n)
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(0, 120), method=st.sampled_from(methods.METHOD_NAMES))
+def test_central_json_parses_back_to_the_recurrence_column(n: int, method: str) -> None:
+    payload = _json_of("central", "--max-n", str(n), "--method", method, "--format", "json")
+    assert tuple(int(v) for v in payload["values"]) == central_sequence(n)
 
 
 def test_central_csv(capsys) -> None:
@@ -122,6 +148,14 @@ def test_quad_gf_table(capsys) -> None:
     assert "value: 1.78885438" in out
 
 
+def test_quad_gf_negative_x_as_separate_token(capsys) -> None:
+    code, joined, _ = _run(capsys, "quad", "--kind", "gf", "--x=-9999/10000", "--format", "json")
+    assert code == 0
+    code, split, _ = _run(capsys, "quad", "--kind", "gf", "--x", "-9999/10000", "--format", "json")
+    assert code == 0
+    assert json.loads(split)["value"] == json.loads(joined)["value"]
+
+
 def test_quad_missing_arguments(capsys) -> None:
     code, _, err = _run(capsys, "quad", "--kind", "z", "--n", "6")
     assert code == 2
@@ -138,16 +172,6 @@ def test_identity_ok(capsys) -> None:
     code, out, _ = _run(capsys, "identity", "--b", "3/10", "--lambda-max", "4")
     assert code == 0
     assert out.count("ok") == 6  # five closed-form lines plus the chain
-
-
-def test_bench_runs(capsys) -> None:
-    code, out, _ = _run(
-        capsys, "bench", "--max-n", "12", "--methods", "recurrence,series", "--format", "csv"
-    )
-    assert code == 0
-    rows = list(csv.reader(io.StringIO(out)))
-    assert rows[0] == ["method", "ns_per_value"]
-    assert len(rows) == 3
 
 
 def test_row_negative_exits_nonzero(capsys) -> None:

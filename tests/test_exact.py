@@ -5,14 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from trinomial.exact import (
-    ExactnessError,
-    decimal_string,
-    div_exact,
-    format_rational,
-    parse_integer,
-    parse_rational,
-)
+from trinomial.exact import ExactnessError, div_exact, parse_rational
 
 
 def test_div_exact_golden() -> None:
@@ -72,14 +65,15 @@ def test_rational_round_trip() -> None:
 
 
 @pytest.mark.parametrize("text,value", [("0", 0), ("-123", -123), ("+7", 7)])
-def test_parse_integer(text: str, value: int) -> None:
-    assert parse_integer(text) == value
+def test_parse_rational_integer_literals(text: str, value: int) -> None:
+    assert parse_rational(text) == value
 
 
-@pytest.mark.parametrize("bad", ["", "1.5", "1_0", " 3", "3 ", "0x10", "1/2"])
-def test_parse_integer_rejects(bad: str) -> None:
+@pytest.mark.parametrize("bad", ["", "1.5", "1_0", " 3", "3 ", "0x10"])
+def test_parse_rational_rejects(bad: str) -> None:
+    # stricter than int() and Fraction(): no whitespace, underscores or prefixes
     with pytest.raises(ValueError):
-        parse_integer(bad)
+        parse_rational(bad)
 
 
 def test_parse_rational() -> None:
@@ -92,23 +86,8 @@ def test_parse_rational() -> None:
         parse_rational("1//2")
 
 
-def test_format_rational() -> None:
-    assert format_rational(Fraction(22, 7)) == "22/7"
-    assert format_rational(Fraction(-123)) == "-123"
-    assert format_rational(Fraction(4, -8)) == "-1/2"
-
-
 def test_parse_format_round_trip() -> None:
     rng = random.Random(11)
     for _ in range(100):
         q = Fraction(rng.randint(-10**9, 10**9), rng.randint(1, 10**9))
-        assert parse_rational(format_rational(q)) == q
-
-
-def test_decimal_string() -> None:
-    assert decimal_string(Fraction(22, 7), 6) == "3.142857"
-    assert decimal_string(Fraction(-1, 2), 3) == "-0.500"
-    assert decimal_string(Fraction(5), 0) == "5"
-    assert decimal_string(Fraction(1, 8), 2) == "0.12"  # ties to even
-    with pytest.raises(ValueError):
-        decimal_string(Fraction(1), -1)
+        assert parse_rational(str(q)) == q

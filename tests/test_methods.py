@@ -6,14 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trinomial import binomial, methods
-from trinomial.methods import (
-    METHOD_NAMES,
-    central_values,
-    clear_caches,
-    diagonal_values,
-    first_mismatch,
-)
+from trinomial import methods
+from trinomial.methods import METHOD_NAMES, central_values, diagonal_values, first_mismatch
 from trinomial.triangle import build_triangle
 
 
@@ -65,20 +59,6 @@ def test_first_mismatch_clean() -> None:
 
 def test_first_mismatch_subset() -> None:
     assert first_mismatch(10, ["ratio", "delta"]) is None
-
-
-def test_clear_caches_is_idempotent() -> None:
-    central_values("series", 6)
-    clear_caches()
-    clear_caches()
-    assert central_values("series", 6) == [1, 1, 3, 7, 19, 51, 141]
-
-
-def test_clear_caches_clears_binomials() -> None:
-    central_values("sum1", 20)
-    assert binomial._char_in_range.cache_info().currsize > 0
-    clear_caches()
-    assert binomial._char_in_range.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("method", METHOD_NAMES)

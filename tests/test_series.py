@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import inspect
+import sys
 from fractions import Fraction
 
 import pytest
 
+from trinomial import series
 from trinomial.exact import ExactnessError
 from trinomial.recurrences import central_sequence
 from trinomial.series import (
@@ -126,7 +129,7 @@ def test_factorization_of_radicand() -> None:
 
 
 def test_gf_P_matches_recurrence() -> None:
-    assert gf_P(120).coeffs == central_sequence(120).values
+    assert gf_P(120).coeffs == central_sequence(120)
 
 
 def test_gf_nu_prefix() -> None:
@@ -153,6 +156,31 @@ def test_scale_relation_order_60() -> None:
     x2 = polynomial([0, 0, 1], 60)
     for lam in range(1, 9):
         assert gf_Z(lam + 1, 60) == gf_Z(lam, 60) * one_minus_x - gf_Z(lam - 1, 60) * x2
+
+
+def test_gf_Z_does_not_recurse_per_lambda() -> None:
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 100)
+    try:
+        assert gf_Z(300, 610).coeffs[600:602] == (1, 301)
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def test_gf_P_and_gf_nu_share_one_square_root(monkeypatch) -> None:
+    calls = []
+    sqrt = PowerSeries.sqrt
+
+    def counting(self: PowerSeries) -> PowerSeries:
+        calls.append(self.order)
+        return sqrt(self)
+
+    monkeypatch.setattr(PowerSeries, "sqrt", counting)
+    for cached in (series._root, gf_P, gf_nu):
+        cached.cache_clear()
+    gf_P(40)
+    gf_nu(40)
+    assert calls == [40]
 
 
 def test_gf_Z_rejects_negative_lambda() -> None:
@@ -214,9 +242,3 @@ def test_constructor_rejects_non_integers() -> None:
         with pytest.raises(TypeError):
             PowerSeries((1, bad))
 
-
-def test_coefficient_accessor_bounds() -> None:
-    ps = polynomial([1, 2], 3)
-    assert ps.coefficient(1) == 2
-    with pytest.raises(IndexError):
-        ps.coefficient(4)

@@ -1,10 +1,8 @@
 from __future__ import annotations
 
-import csv
-import io
-import json
-
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trinomial.recurrences import central_sequence
 from trinomial.triangle import build_triangle, leading_term_check
@@ -38,6 +36,14 @@ def test_row_sums_are_powers_of_three() -> None:
         assert sum(tri.row(n)) == 3**n
 
 
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(0, 120))
+def test_random_rows_are_palindromes_summing_to_3_to_the_n(n: int) -> None:
+    row = build_triangle(n).row(n)
+    assert row == row[::-1]
+    assert sum(row) == 3**n
+
+
 def test_row_has_2n_plus_1_entries() -> None:
     tri = build_triangle(30)
     for n in range(31):
@@ -68,7 +74,7 @@ def test_build_triangle_rejects_negative() -> None:
 
 def test_center_matches_recurrence_to_200() -> None:
     tri = build_triangle(200)
-    p = central_sequence(200).values
+    p = central_sequence(200)
     for n in range(201):
         assert tri.coeff(n, n) == p[n]
 
@@ -78,23 +84,3 @@ def test_leading_terms_to_64() -> None:
     for n in range(65):
         assert leading_term_check(tri, n)
 
-
-def test_csv_export() -> None:
-    tri = build_triangle(3)
-    out = io.StringIO()
-    tri.write_csv(out)
-    rows = list(csv.reader(io.StringIO(out.getvalue())))
-    assert rows[0] == ["n", "k", "coefficient"]
-    # 1 + 3 + 5 + 7 data rows
-    assert len(rows) == 17
-    assert rows[-1] == ["3", "6", "1"]
-    parsed = {(int(r[0]), int(r[1])): int(r[2]) for r in rows[1:]}
-    assert parsed[(3, 3)] == 7
-
-
-def test_json_export_uses_decimal_strings() -> None:
-    tri = build_triangle(2)
-    obj = json.loads(json.dumps(tri.to_json_obj()))
-    assert obj["max_n"] == 2
-    assert obj["rows"][2] == ["1", "2", "3", "2", "1"]
-    assert all(isinstance(v, str) for row in obj["rows"] for v in row)
