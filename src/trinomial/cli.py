@@ -48,8 +48,7 @@ def _emit_rows(
 
 
 def _cmd_row(args: argparse.Namespace) -> int:
-    tri = triangle.build_triangle(args.n)
-    row = tri.row(args.n)
+    row = triangle.row(args.n)
     _emit_rows(
         args.format,
         ["k", "coefficient"],
@@ -128,7 +127,6 @@ def _print_quadrature(
         "value": result.value,
         "abs_error_estimate": result.abs_error_estimate,
         "panels": result.panels,
-        "converged": result.converged,
         **extra,
     }
     if fmt == "json":
@@ -147,8 +145,8 @@ def _cmd_quad(args: argparse.Namespace) -> int:
     if args.kind == "z":
         if args.n is None or args.lam is None:
             raise ValueError("quad --kind z needs --n and --lambda")
-        result = quadrature.z_by_integral(args.n, args.lam, tol=args.tol)
-        exact = triangle.build_triangle(args.n).coeff(args.n, args.n + args.lam)
+        result = quadrature.z_by_integral(args.n, args.lam)
+        exact = triangle.row(args.n)[args.n + args.lam]
         extra = {
             "n": args.n,
             "lambda": args.lam,
@@ -229,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int)
     p.add_argument("--lambda", dest="lam", type=int)
     p.add_argument("--x", help="evaluation point as a rational such as 1/4")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=1e-9, help="accuracy asked of --kind gf")
     _add_format(p)
     p.set_defaults(func=_cmd_quad)
 

@@ -9,11 +9,13 @@ entries, is palindromic, and sums to 3^n.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
+from typing import Iterator
 
 from .exact import div_exact
 
-__all__ = ["TrinomialTriangle", "build_triangle", "leading_term_check"]
+__all__ = ["TrinomialTriangle", "build_triangle", "row", "leading_term_check"]
 
 
 @dataclass(frozen=True)
@@ -44,24 +46,28 @@ class TrinomialTriangle:
         return row[k]
 
 
-def build_triangle(max_n: int) -> TrinomialTriangle:
-    """Expand (1 + x + x^2)^n for all n up to max_n."""
+def _rows(max_n: int) -> Iterator[tuple[int, ...]]:
+    """Rows 0..max_n in order, each built from the one before."""
     if max_n < 0:
         raise ValueError(f"max_n must be >= 0, got {max_n}")
-    rows: list[tuple[int, ...]] = [(1,)]
-    for n in range(1, max_n + 1):
-        prev = rows[-1]
-        width = len(prev)
-        row = []
-        for k in range(2 * n + 1):
-            total = 0
-            for d in (0, 1, 2):
-                j = k - d
-                if 0 <= j < width:
-                    total += prev[j]
-            row.append(total)
-        rows.append(tuple(row))
-    return TrinomialTriangle(tuple(rows))
+    prev: tuple[int, ...] = (1,)
+    yield prev
+    for _ in range(max_n):
+        # tuples from lists, here and in build_triangle: tuple() of a generator is
+        # resized to fit, and CPython keeps freed tuples under 20 long, 2000 a size
+        padded = (0, 0, *prev, 0, 0)
+        prev = tuple([padded[k] + padded[k + 1] + padded[k + 2] for k in range(len(prev) + 2)])
+        yield prev
+
+
+def build_triangle(max_n: int) -> TrinomialTriangle:
+    """Expand (1 + x + x^2)^n for all n up to max_n."""
+    return TrinomialTriangle(tuple(list(_rows(max_n))))
+
+
+def row(n: int) -> tuple[int, ...]:
+    """Row n alone: build_triangle(n).row(n) in O(n) memory."""
+    return deque(_rows(n), maxlen=1)[0]
 
 
 # Closed forms for the first few coefficients of a row, valid for every n

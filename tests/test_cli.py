@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trinomial import cli, methods
+from trinomial import cli, methods, triangle
 from trinomial.exact import ExactnessError
 from trinomial.recurrences import central_sequence
 from trinomial.triangle import build_triangle
@@ -135,7 +135,8 @@ def test_quad_z_json(capsys) -> None:
     assert code == 0
     payload = json.loads(out)
     assert payload["exact"] == "141"
-    assert payload["converged"] is True
+    assert "converged" not in payload
+    assert payload["panels"] == 4  # degree 6 needs (6 + 0) // 2 + 1 panels
     assert abs(payload["value"] - 141.0) < 1e-6
     assert abs(payload["deviation"]) < 1e-6
 
@@ -172,6 +173,29 @@ def test_identity_ok(capsys) -> None:
     code, out, _ = _run(capsys, "identity", "--b", "3/10", "--lambda-max", "4")
     assert code == 0
     assert out.count("ok") == 6  # five closed-form lines plus the chain
+
+
+def test_row_and_quad_z_build_only_one_row(capsys, monkeypatch) -> None:
+    row50, z_30_7 = build_triangle(50).row(50), build_triangle(30).coeff(30, 37)
+
+    def refuse(max_n: int) -> None:
+        raise AssertionError("one row needs no whole triangle")
+
+    monkeypatch.setattr(triangle, "build_triangle", refuse)
+    code, out, _ = _run(capsys, "row", "--n", "50", "--format", "json")
+    assert code == 0
+    assert tuple(int(v) for v in json.loads(out)["coefficients"]) == row50
+    code, out, _ = _run(
+        capsys, "quad", "--kind", "z", "--n", "30", "--lambda", "7", "--format", "json"
+    )
+    assert code == 0
+    assert json.loads(out)["exact"] == str(z_30_7)
+
+
+def test_quad_gf_past_the_panel_budget_exits_three(capsys) -> None:
+    code, _, err = _run(capsys, "quad", "--kind", "gf", "--x", "-999999999999/1000000000000")
+    assert code == 3
+    assert "panels" in err
 
 
 def test_row_negative_exits_nonzero(capsys) -> None:

@@ -1,13 +1,17 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from trinomial import cli, quadrature, triangle
 from trinomial.binomial import char
 from trinomial.quadrature import (
+    MAX_PANELS,
     QuadratureError,
+    QuadratureResult,
     b_identity_check,
     b_reduction_chain_check,
     cos_power_expansion,
@@ -18,42 +22,64 @@ from trinomial.quadrature import (
 )
 from trinomial.triangle import build_triangle
 
+EPS = np.finfo(float).eps
+
 
 def test_constant_integrates_to_pi() -> None:
-    result = integrate_0_pi(lambda phi: np.ones_like(phi), tol=1e-12)
-    assert abs(result.value - math.pi) < 1e-12
-    assert result.converged
+    for panels in (1, 2, 7):
+        result = integrate_0_pi(lambda phi: np.ones_like(phi), panels)
+        assert abs(result.value - math.pi) < 1e-12
+        assert result.panels == panels
 
 
 def test_pure_cosines_integrate_to_zero() -> None:
-    for m in range(1, 9):
-        result = integrate_0_pi(lambda phi, m=m: np.cos(m * phi), tol=1e-12)
-        assert abs(result.value) < 1e-12, m
+    # exact below the aliasing frequency 2N; at 2N the rule reads pi
+    for panels in (1, 3, 8):
+        for m in range(1, 2 * panels):
+            result = integrate_0_pi(lambda phi, m=m: np.cos(m * phi), panels)
+            assert abs(result.value) < 1e-12, (panels, m)
+        aliased = integrate_0_pi(lambda phi: np.cos(2 * panels * phi), panels)
+        assert abs(aliased.value - math.pi) < 1e-12, panels
 
 
 def test_cosine_squared() -> None:
-    result = integrate_0_pi(lambda phi: np.cos(2 * phi) ** 2, tol=1e-12)
+    # cos^2(2 phi) = (1 + cos 4 phi) / 2 is exact from 3 panels on
+    result = integrate_0_pi(lambda phi: np.cos(2 * phi) ** 2, 3)
     assert abs(result.value - math.pi / 2) < 1e-12
 
 
-def test_tolerance_floor() -> None:
-    with pytest.raises(ValueError):
-        integrate_0_pi(np.cos, tol=1e-14)
+def test_tolerance_floor(capsys) -> None:
+    for check in (
+        lambda: gf_by_integral(0.25, tol=1e-14),
+        lambda: b_identity_check(0.5, 1, tol=1e-14),
+        lambda: b_reduction_chain_check(0.5, 2, tol=1e-14),
+    ):
+        with pytest.raises(ValueError):
+            check()
+    assert cli.main(["quad", "--kind", "gf", "--x", "1/4", "--tol", "1e-14"]) == 2
+    assert cli.main(["identity", "--b", "1/2", "--tol", "1e-14"]) == 2
 
 
 def test_budget_exhaustion_raises() -> None:
-    # a peak far too sharp for 64 panels
-    def sharp(phi: np.ndarray) -> np.ndarray:
-        return 1.0 / (1.000001 - np.cos(phi))
+    def never(phi: np.ndarray) -> np.ndarray:
+        raise AssertionError("integrand evaluated")
 
     with pytest.raises(QuadratureError):
-        integrate_0_pi(sharp, tol=1e-13 * 10, max_panels=64)
+        integrate_0_pi(never, MAX_PANELS + 1)
+    with pytest.raises(ValueError):
+        integrate_0_pi(never, 0)
 
 
 def test_panel_accounting() -> None:
-    result = integrate_0_pi(lambda phi: np.ones_like(phi), tol=1e-12, base_panels=4)
-    assert result.panels == 8  # converges on the very first doubling
-    assert result.abs_error_estimate == 0.0
+    # the z integrand is a cosine polynomial of degree n + lam, so this
+    # many panels leave only roundoff on the scale 3^n
+    tri = build_triangle(30)
+    for n in range(31):
+        for lam in range(n + 1):
+            result = z_by_integral(n, lam)
+            assert result.panels == (n + lam) // 2 + 1, (n, lam)
+            assert result.abs_error_estimate == 0.0
+            assert abs(result.value - tri.coeff(n, n + lam)) <= 64 * EPS * 3.0**n, (n, lam)
 
 
 def test_z_by_integral_matches_exact_small() -> None:
@@ -80,10 +106,26 @@ def test_gf_by_integral_quarter() -> None:
 
 
 def test_gf_by_integral_sample_points() -> None:
-    for x in (-0.9, -0.5, 0.0, 0.1, 0.25, 0.3):
-        closed = 1.0 / math.sqrt(1.0 - 2.0 * x - 3.0 * x * x)
+    edges = (-1.0 + 1e-9, -1.0 + 1e-6, 1.0 / 3.0 - 1e-6, 1.0 / 3.0 - 1e-9)
+    for x in (*edges, -0.9, -0.5, 0.0, 0.1, 0.25, 0.3):
+        # exact arithmetic: in floats, 1 - 2x - 3x^2 loses digits at the edges
+        closed = 1.0 / math.sqrt(float((1 + Fraction(x)) * (1 - 3 * Fraction(x))))
         result = gf_by_integral(x, tol=1e-10)
         assert abs(result.value - closed) <= 1e-10 * max(1.0, closed), x
+        assert result.abs_error_estimate <= 2.5e-11 * closed, x
+
+
+def test_gf_by_integral_past_the_panel_budget_raises_before_evaluating(monkeypatch) -> None:
+    evaluated = []
+    real = quadrature.integrate_0_pi
+
+    def spy(f, panels: int) -> QuadratureResult:
+        return real(lambda phi: evaluated.append(phi) or f(phi), panels)
+
+    monkeypatch.setattr(quadrature, "integrate_0_pi", spy)
+    with pytest.raises(QuadratureError):
+        gf_by_integral(-1.0 + 1e-12)
+    assert evaluated == []
 
 
 def test_gf_by_integral_domain() -> None:
@@ -96,6 +138,7 @@ def test_b_identity_spot_checks() -> None:
     for lam in range(5):
         assert b_identity_check(0.5, lam)
     assert b_identity_check(0.9, 8)
+    assert b_identity_check(0.9999, 0)
 
 
 def test_b_identity_domain() -> None:
@@ -110,6 +153,7 @@ def test_b_identity_domain() -> None:
 def test_b_reduction_chain() -> None:
     assert b_reduction_chain_check(0.3, 6)
     assert b_reduction_chain_check(0.5, 8)
+    assert b_reduction_chain_check(0.9999, 8)
     with pytest.raises(ValueError):
         b_reduction_chain_check(0.3, 0)
 
@@ -161,8 +205,21 @@ def test_exact_fourier_reconstruction() -> None:
 
 
 def test_fourier_decomposition_check_range() -> None:
-    for n in range(13):
+    for n in range(21):
         assert fourier_decomposition_check(n)
+
+
+def test_fourier_decomposition_check_catches_a_wrong_coefficient(monkeypatch) -> None:
+    real = triangle.row
+    for n in (12, 20):
+
+        def raised(m: int, n: int = n) -> tuple[int, ...]:
+            row = list(real(m))
+            row[n + n // 2] += 1
+            return tuple(row)
+
+        monkeypatch.setattr(triangle, "row", raised)
+        assert not fourier_decomposition_check(n), n
 
 
 def test_fourier_decomposition_domain() -> None:
