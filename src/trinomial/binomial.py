@@ -20,7 +20,8 @@ __all__ = [
 ]
 
 
-@lru_cache(maxsize=None)
+# Room for every distinct entry of one 0 <= lam <= n <= 300 table (22801).
+@lru_cache(maxsize=1 << 15)
 def _char_in_range(n: int, lam: int) -> int:
     # Multiplicative formula; div_exact asserts the classic fact that the
     # running product is divisible at every step.  Deliberately not a Pascal

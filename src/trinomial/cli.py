@@ -83,10 +83,14 @@ def _cmd_diag(args: argparse.Namespace) -> int:
 
 
 def _cmd_crosscheck(args: argparse.Namespace) -> int:
-    chosen = args.methods.split(",") if args.methods else None
+    chosen = list(dict.fromkeys(args.methods.split(","))) if args.methods else methods.METHOD_NAMES
     mismatch = methods.first_mismatch(args.max_n, chosen)
     if mismatch is None:
-        print(f"OK: all methods agree with the oracle for 0 <= lam <= n <= {args.max_n}")
+        pairs = (args.max_n + 1) * (args.max_n + 2) // 2 if args.max_n >= 0 else 0
+        print(
+            f"OK: {len(chosen)} methods agree with the oracle on {pairs} (n, lam) pairs, "
+            f"0 <= lam <= n <= {args.max_n}"
+        )
         return 0
     name, lam, n, got, expected = mismatch
     print(

@@ -39,9 +39,11 @@ def _by_oracle(lams: range, max_n: int) -> list[list[int]]:
     return [[tri.coeff(n, n + lam) for n in range(max_n + 1)] for lam in lams]
 
 
-def _by_sum(form: Callable[[int, int], int]) -> Route:
+def _by_sum(form: Route) -> Route:
+    # a closure over the public form, not the form itself: perfbench's
+    # tracer and its tests reach the form through this cell
     def values(lams: range, max_n: int) -> list[list[int]]:
-        return [[form(n, lam) for n in range(max_n + 1)] for lam in lams]
+        return form(lams, max_n)
 
     return values
 
@@ -66,16 +68,23 @@ def _by_delta(lams: range, max_n: int) -> list[list[int]]:
 
 
 def _by_series(lams: range, max_n: int) -> list[list[int]]:
-    # Z[lam] starts at x^(2 lam), so entries with n < lam come out zero
-    # without special-casing.  One order serves the whole range; each
-    # further diagonal is one more factor of nu.
-    order = max_n + lams[-1]
-    z = series.gf_Z(lams[0], order)
+    # Z[lam] = x^(2 lam) P M^lam with M = nu / x^2, so z(n, lam) is the
+    # coefficient of x^(n - lam) in P M^lam and diagonal lam needs order
+    # max_n - lam only.  The first diagonal's root serves the whole range;
+    # each further diagonal is one more factor of M at one order less.
     rows = []
+    q = None
     for lam in lams:
-        if lam > lams[0]:
-            z = z * series.gf_nu(order)
-        rows.append(list(z.coeffs[lam : lam + max_n + 1]))
+        depth = max_n - lam
+        if depth < 0:
+            rows.append([0] * (max_n + 1))
+            continue
+        if q is None:
+            q = series.PowerSeries(series.gf_Z(lam, max_n + lam).coeffs[2 * lam :])
+            m = series.gf_M(depth)
+        else:
+            q = q.truncate(depth) * m.truncate(depth)
+        rows.append([0] * lam + list(q.coeffs))
     return rows
 
 

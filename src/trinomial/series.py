@@ -9,11 +9,13 @@ div_exact, so a quotient that leaves the integers raises.
 The generating functions:
 
     P(x)  = 1 / sqrt(1 - 2x - 3x^2)            central coefficients p(n)
-    nu(x) = (1 - x - sqrt(1 - 2x - 3x^2)) / 2   the shift factor
+    nu(x) = (1 - x - sqrt(1 - 2x - 3x^2)) / 2   the shift factor, x^2 M(x)
     Z[lam] = P * nu^lam                          diagonal lam, offset by lam
 
-so the coefficient of x^(n+lam) in Z[lam] is z(n, lam).  The square root
-is computed by Newton iteration and certified by squaring back.
+so the coefficient of x^(n+lam) in Z[lam] is z(n, lam).  M is the
+Motzkin series, so Z[lam] is x^(2 lam) P M^lam and is worked out at
+order - 2 lam.  The square root is computed by Newton iteration and
+certified by squaring back.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ __all__ = [
     "polynomial",
     "gf_P",
     "gf_nu",
+    "gf_M",
     "gf_Z",
     "b_substitution_check",
 ]
@@ -84,6 +87,12 @@ class PowerSeries:
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1
+
+    def truncate(self, order: int) -> PowerSeries:
+        """The same series cut after x^order; order may not exceed self.order."""
+        if not 0 <= order <= self.order:
+            raise ValueError(f"cannot truncate order {self.order} to {order}")
+        return PowerSeries(self.coeffs[: order + 1])
 
     def _match(self, other: PowerSeries) -> None:
         if self.order != other.order:
@@ -212,20 +221,20 @@ def polynomial(coeffs: Sequence[int], order: int) -> PowerSeries:
 # the generating functions themselves
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def _root(order: int) -> PowerSeries:
     """sqrt(1 - 2x - 3x^2), shared by P and nu."""
     # slicing keeps degenerate truncation orders 0 and 1 legal
     return polynomial([1, -2, -3][: order + 1], order).sqrt()
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def gf_P(order: int) -> PowerSeries:
     """P = 1 / sqrt(1 - 2x - 3x^2); coefficient of x^n is p(n)."""
     return polynomial([1], order) / _root(order)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def gf_nu(order: int) -> PowerSeries:
     """nu = (1 - x - sqrt(1 - 2x - 3x^2)) / 2; starts at x^2."""
     nu = (polynomial([1, -1][: order + 1], order) - _root(order)) / 2
@@ -234,13 +243,27 @@ def gf_nu(order: int) -> PowerSeries:
     return nu
 
 
-@lru_cache(maxsize=None)
+def gf_M(order: int) -> PowerSeries:
+    """M = nu / x^2, the Motzkin series, from the root at order + 2."""
+    return PowerSeries(gf_nu(order + 2).coeffs[2:])
+
+
+@lru_cache(maxsize=16)
 def gf_Z(lam: int, order: int) -> PowerSeries:
-    """Z[lam] = P * nu^lam; coefficient of x^(n+lam) is z(n, lam)."""
+    """Z[lam] = P * nu^lam; coefficient of x^(n+lam) is z(n, lam).
+
+    nu = x^2 M, with M the Motzkin series, so Z[lam] = x^(2 lam) P M^lam
+    and only order - 2 lam coefficients of P M^lam are needed.  P and M
+    both come from the one square root at order order - 2 lam + 2; when
+    2 lam > order no root is taken at all.
+    """
     if lam < 0:
         raise ValueError(f"lam must be >= 0, got {lam}")
-    # nu^lam on the left: the kernel skips its 2 lam leading zeros
-    return gf_nu(order) ** lam * gf_P(order)
+    depth = order - 2 * lam
+    if depth < 0:
+        return polynomial([], order)
+    p = gf_P(depth + 2).truncate(depth)
+    return PowerSeries((0,) * (2 * lam) + (gf_M(depth) ** lam * p).coeffs)
 
 
 def b_substitution_check(

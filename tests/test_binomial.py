@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from trinomial.binomial import char, product_collapse_check, product_swap_check
+from trinomial.binomial import _char_in_range, char, product_collapse_check, product_swap_check
 
 
 def test_char_matches_stdlib_comb_exhaustive() -> None:
@@ -58,3 +58,13 @@ def test_product_checks_out_of_range_indices() -> None:
     assert product_collapse_check(2, 2, 2)
     with pytest.raises(ValueError):
         product_swap_check(3, -1, 0)
+
+
+def test_char_cache_is_bounded_and_holds_one_max_n_300_table() -> None:
+    maxsize = _char_in_range.cache_info().maxsize
+    # one entry per (m, min(k, m - k)) with 0 <= k <= m <= 300
+    assert maxsize >= sum(m // 2 + 1 for m in range(301))
+    for n in range(maxsize + 100):
+        char(n, 1)
+    assert _char_in_range.cache_info().currsize == maxsize
+    _char_in_range.cache_clear()

@@ -88,15 +88,25 @@ def test_diag_json(capsys) -> None:
 
 
 def test_crosscheck_ok(capsys) -> None:
-    code, out, _ = _run(capsys, "crosscheck", "--max-n", "10")
+    code, out, _ = _run(capsys, "crosscheck", "--max-n", "40")
     assert code == 0
-    assert out.startswith("OK")
+    assert out == "OK: 8 methods agree with the oracle on 861 (n, lam) pairs, 0 <= lam <= n <= 40\n"
 
 
 def test_crosscheck_subset(capsys) -> None:
-    code, out, _ = _run(capsys, "crosscheck", "--max-n", "8", "--methods", "sum1,series")
+    code, out, _ = _run(capsys, "crosscheck", "--max-n", "8", "--methods", "sum1,series,sum1")
     assert code == 0
-    assert out.startswith("OK")
+    assert out == "OK: 2 methods agree with the oracle on 45 (n, lam) pairs, 0 <= lam <= n <= 8\n"
+
+
+def test_deep_series_diagonal_and_gf_take_no_root(capsys, root_orders) -> None:
+    code, out, _ = _run(capsys, "diag", "--lambda", "1200", "--max-n", "5", "--method", "series")
+    assert code == 0
+    assert [line.split() for line in out.strip().splitlines()] == [[str(n), "0"] for n in range(6)]
+    code, out, _ = _run(capsys, "gf", "--order", "1205", "--lambda", "1200")
+    assert code == 0
+    assert out.strip() == "Z[1200] = 0 + O(x^1206)"
+    assert root_orders == []
 
 
 def test_crosscheck_unknown_method(capsys) -> None:

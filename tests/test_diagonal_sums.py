@@ -4,6 +4,8 @@ import math
 
 import pytest
 
+from trinomial import binomial, diagonal_sums
+from trinomial.binomial import char
 from trinomial.diagonal_sums import (
     central_p_factor_series,
     z_sum_form1,
@@ -15,7 +17,7 @@ from trinomial.triangle import build_triangle
 
 P_KNOWN = [1, 1, 3, 7, 19, 51, 141, 393, 1107, 3139, 8953, 25653, 73789]
 
-_TRI = build_triangle(40)
+_TRI = build_triangle(300)
 
 
 def _z(n: int, lam: int) -> int:
@@ -24,29 +26,68 @@ def _z(n: int, lam: int) -> int:
 
 @pytest.mark.parametrize("form", [z_sum_form1, z_sum_form2, z_sum_form3])
 def test_sum_forms_match_oracle_exhaustive(form) -> None:
-    for n in range(25):
-        for lam in range(n + 1):
-            assert form(n, lam) == _z(n, lam), (form.__name__, n, lam)
+    # every table size, and every diagonal of it, for n < 25
+    for max_n in range(25):
+        rows = form(range(max_n + 1), max_n)
+        assert len(rows) == max_n + 1
+        for lam, row in enumerate(rows):
+            assert row == [_z(n, lam) for n in range(max_n + 1)], (form.__name__, max_n, lam)
 
 
 @pytest.mark.parametrize("form", [z_sum_form1, z_sum_form2, z_sum_form3])
 def test_sum_forms_central_golden(form) -> None:
-    assert [form(n, 0) for n in range(13)] == P_KNOWN
+    assert form(range(1), 12) == [P_KNOWN]
 
 
 @pytest.mark.parametrize("form", [z_sum_form1, z_sum_form2, z_sum_form3])
 def test_sum_forms_above_diagonal_are_zero(form) -> None:
-    for n in range(8):
-        for lam in range(n + 1, n + 4):
-            assert form(n, lam) == 0
+    # lam up to n + 3: inside the table (the stop-at-zero rules) and past it
+    for max_n in range(8):
+        rows = form(range(max_n + 4), max_n)
+        for n in range(max_n + 1):
+            for lam in range(n + 1, n + 4):
+                assert rows[lam][n] == 0, (max_n, n, lam)
+    assert form(range(1200, 1202), 5) == [[0] * 6, [0] * 6]
 
 
 @pytest.mark.parametrize("form", [z_sum_form1, z_sum_form2, z_sum_form3, z_term_ratio])
 def test_negative_indices_rejected(form) -> None:
+    # z_term_ratio takes one (n, lam); the sum forms take (lams, max_n)
+    bad_n, bad_lam = ((-1, 0), (3, -1)) if form is z_term_ratio else ((range(1), -1), (range(-1, 2), 3))
     with pytest.raises(ValueError):
-        form(-1, 0)
+        form(*bad_n)
     with pytest.raises(ValueError):
-        form(3, -1)
+        form(*bad_lam)
+
+
+@pytest.fixture
+def char_calls(monkeypatch) -> list[tuple[int, int]]:
+    """Every char call the sum forms make from here on, binomial caches cold."""
+    calls: list[tuple[int, int]] = []
+
+    def counting(n: int, lam: int) -> int:
+        calls.append((n, lam))
+        return char(n, lam)
+
+    monkeypatch.setattr(diagonal_sums, "char", counting)
+    diagonal_sums._char_table.cache_clear()
+    binomial._char_in_range.cache_clear()
+    return calls
+
+
+@pytest.mark.parametrize("form", [z_sum_form1, z_sum_form2, z_sum_form3])
+def test_one_cold_sum_route_calls_char_once_per_table_entry(form, char_calls) -> None:
+    form(range(41), 40)
+    assert len(char_calls) <= 41 * 42 // 2
+    assert len(set(char_calls)) == len(char_calls)
+
+
+@pytest.mark.parametrize("form", [z_sum_form1, z_sum_form2, z_sum_form3])
+def test_deep_diagonal_asks_char_only_for_what_it_reads(form, char_calls) -> None:
+    # the table has 45451 entries; diagonal 290 reads a few per n
+    rows = form(range(290, 291), 300)
+    assert rows == [[_z(n, 290) for n in range(301)]]
+    assert len(char_calls) <= 2 * 301
 
 
 def test_term_ratio_table_n6() -> None:

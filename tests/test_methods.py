@@ -91,6 +91,18 @@ def test_first_mismatch_runs_each_route_once(monkeypatch) -> None:
     assert calls == {name: [range(10)] for name in ("series", "delta", "sum2")}
 
 
+def test_one_cold_series_route_takes_one_root(root_orders) -> None:
+    assert first_mismatch(40, ["series"]) is None
+    assert root_orders == [42]
+
+
+@pytest.mark.parametrize("lam,max_n", [(1200, 5), (6, 5), (0, 12), (3, 40), (40, 40)])
+def test_series_diagonal_roots_stay_below_max_n_minus_lam_plus_2(root_orders, lam, max_n) -> None:
+    values = diagonal_values("series", lam, max_n)
+    assert values == [_z_comb(n, lam) for n in range(max_n + 1)]
+    assert root_orders == ([max_n - lam + 2] if lam <= max_n else [])
+
+
 def _corrupt(monkeypatch, name: str, lam: int, n: int) -> None:
     route = methods._METHODS[name]
 

@@ -12,6 +12,7 @@ from trinomial.recurrences import central_sequence
 from trinomial.series import (
     PowerSeries,
     b_substitution_check,
+    gf_M,
     gf_P,
     gf_Z,
     gf_nu,
@@ -137,6 +138,12 @@ def test_gf_nu_prefix() -> None:
     assert nu.coeffs == (0, 0, 1, 1, 2, 4, 9, 21, 51, 127)
 
 
+def test_gf_M_is_the_motzkin_series_from_one_root(root_orders) -> None:
+    assert gf_M(9).coeffs == (1, 1, 2, 4, 9, 21, 51, 127, 323, 835)
+    assert gf_M(0).coeffs == (1,)
+    assert root_orders == [11, 2]
+
+
 def test_nu_functional_equation_order_60() -> None:
     nu = gf_nu(60)
     lhs = nu * polynomial([1, -1], 60) - polynomial([0, 0, 1], 60)
@@ -167,20 +174,42 @@ def test_gf_Z_does_not_recurse_per_lambda() -> None:
         sys.setrecursionlimit(limit)
 
 
-def test_gf_P_and_gf_nu_share_one_square_root(monkeypatch) -> None:
-    calls = []
-    sqrt = PowerSeries.sqrt
-
-    def counting(self: PowerSeries) -> PowerSeries:
-        calls.append(self.order)
-        return sqrt(self)
-
-    monkeypatch.setattr(PowerSeries, "sqrt", counting)
-    for cached in (series._root, gf_P, gf_nu):
-        cached.cache_clear()
+def test_gf_P_and_gf_nu_share_one_square_root(root_orders) -> None:
     gf_P(40)
     gf_nu(40)
-    assert calls == [40]
+    assert root_orders == [40]
+
+
+def test_gf_Z_takes_one_root_at_order_minus_2_lam_plus_2(root_orders) -> None:
+    assert gf_Z(1200, 1205) == polynomial([], 1205)
+    assert gf_Z(5, 9) == polynomial([], 9)
+    assert root_orders == []
+    z = gf_Z(5, 30)
+    assert root_orders == [22]
+    assert z.order == 30
+    assert z.coeffs[:10] == (0,) * 10
+    assert z.coeffs[10:13] == (1, 6, 28)  # z(5, 5), z(6, 5), z(7, 5)
+
+
+def test_truncate() -> None:
+    ps = polynomial([1, 2, 3], 4)
+    assert ps.truncate(1) == polynomial([1, 2], 1)
+    assert ps.truncate(4) == ps
+    for bad in (-1, 5):
+        with pytest.raises(ValueError):
+            ps.truncate(bad)
+
+
+def test_series_caches_are_bounded() -> None:
+    for order in range(40):
+        gf_P(order)
+        gf_nu(order)
+    for lam in range(40):
+        gf_Z(lam, 60)
+    for cached in (series._root, gf_P, gf_nu, gf_Z):
+        info = cached.cache_info()
+        assert info.maxsize is not None
+        assert info.currsize == info.maxsize, cached
 
 
 def test_gf_Z_rejects_negative_lambda() -> None:
