@@ -5,8 +5,9 @@ P(x) as a Poisson-kernel style integral.  Each integrand is a periodic
 function with known cosine coefficients, and the trapezoid rule on N
 panels misses only the coefficients at 2N, 4N, ..., so the panel count
 is worked out from the integrand: (n + lam) // 2 + 1 panels make the z
-integral exact, and P(x) takes the fewest panels whose error bound
-meets the tolerance, many more near the edges of its domain.
+integral exact.  P(x) peaks sharply near the edges of its domain; it is
+integrated after a conformal map that clusters the nodes at the peak,
+on the fewest panels whose error bound meets the tolerance.
 """
 
 from __future__ import annotations

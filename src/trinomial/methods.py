@@ -58,7 +58,9 @@ def _by_recurrence(lams: range, max_n: int) -> list[list[int]]:
 
 def _by_delta(lams: range, max_n: int) -> list[list[int]]:
     # The difference formulas express diagonal lam through the central
-    # column, so lam = 0 is the central column itself.
+    # column, so lam = 0 is the central column itself.  Past it, all is 0.
+    if lams[0] > max_n:
+        return [[0] * (max_n + 1) for _ in lams]
     base = _central_base(max_n + lams[-1])
     table = differences.build_difference_table(base, lams[-1])
     return [

@@ -13,6 +13,13 @@ even periodic sum_k a_k cos(k phi) with known a_k, and the trapezoid rule
 on N panels of [0, pi] is off by exactly pi * sum_{j >= 1} a_{2Nj}
 (Trefethen & Weideman, SIAM Review 2014), so N is set before f is run.
 
+The last two integrands are Poisson kernels whose coefficients decay only
+like t^k, with t -> 1 at the edges of their domains.  They are integrated
+after a conformal map of the disk that clusters the nodes at the peak
+(Hale & Trefethen, "New quadrature formulas from conformal maps", SIAM
+J. Numer. Anal. 2008), which takes N from order 1/(1 - t) to order
+1/sqrt(1 - t).
+
 n is capped at 30: the first integrand reaches 3^n, and beyond that a
 double carries too few bits for the comparison to mean much.
 """
@@ -23,8 +30,6 @@ import math
 import sys
 from dataclasses import dataclass
 from typing import Callable
-
-import numpy as np
 
 from . import triangle
 
@@ -55,29 +60,23 @@ class QuadratureResult:
     panels: int
 
 
-def integrate_0_pi(f: Callable[[np.ndarray], np.ndarray], panels: int) -> QuadratureResult:
+def integrate_0_pi(f: Callable[[float], float], panels: int) -> QuadratureResult:
     """Trapezoid estimate of Int_0^pi f on `panels` equal panels.
 
-    f must accept a numpy array of angles and is called once, on all
-    panels + 1 points, unless panels exceeds MAX_PANELS: then it raises
-    QuadratureError.  abs_error_estimate is 0.0, as the rule cannot see the
-    aliased terms; the callers below report the bound for their integrand.
+    f takes one angle and is called once at each of the panels + 1 nodes,
+    unless panels exceeds MAX_PANELS: then it raises QuadratureError before
+    any call.  The nodes are summed with math.fsum.  abs_error_estimate is
+    0.0, as the rule cannot see the aliased terms; the callers below report
+    the bound for their integrand.
     """
     if panels < 1:
         raise ValueError(f"need panels >= 1, got {panels}")
     if panels > MAX_PANELS:
         raise QuadratureError(f"{panels} panels needed, more than the budget of {MAX_PANELS}")
-    values = np.asarray(f(np.linspace(0.0, math.pi, panels + 1)), dtype=float)
-    value = (math.pi / panels) * (values.sum() - 0.5 * (values[0] + values[-1]))
-    return QuadratureResult(float(value), 0.0, panels)
-
-
-def _alias_order(q: float, c: float) -> int:
-    """Smallest m >= 1 with sum_{j >= 1} q^(jm) = q^m / (1 - q^m) <= c,
-    for 0 <= q < 1 and c > 0."""
-    if q == 0.0:
-        return 1
-    return max(1, math.ceil(math.log(1.0 / (1.0 + 1.0 / c)) / math.log(q)))
+    h = math.pi / panels
+    ends = 0.5 * (f(0.0) + f(math.pi))
+    value = h * math.fsum([ends, *(f(j * h) for j in range(1, panels))])
+    return QuadratureResult(value, 0.0, panels)
 
 
 def z_by_integral(n: int, lam: int) -> QuadratureResult:
@@ -91,8 +90,8 @@ def z_by_integral(n: int, lam: int) -> QuadratureResult:
     if not 0 <= lam <= n <= 30:
         raise ValueError(f"need 0 <= lam <= n <= 30, got lam={lam}, n={n}")
 
-    def f(phi: np.ndarray) -> np.ndarray:
-        return np.cos(lam * phi) * (1.0 + 2.0 * np.cos(phi)) ** n
+    def f(phi: float) -> float:
+        return math.cos(lam * phi) * (1.0 + 2.0 * math.cos(phi)) ** n
 
     panels = (n + lam) // 2 + 1
     return QuadratureResult(integrate_0_pi(f, panels).value / math.pi, 0.0, panels)
@@ -114,7 +113,8 @@ def fourier_decomposition_check(
     if grid_points < 2:
         raise ValueError("need at least two grid points")
     diag = triangle.row(n)[n:]
-    for phi in np.linspace(0.0, math.pi, grid_points):
+    for j in range(grid_points):
+        phi = math.pi * j / (grid_points - 1)
         lhs = (1.0 + 2.0 * math.cos(phi)) ** n
         terms = [float(diag[0])]
         terms += [2.0 * diag[lam] * math.cos(lam * phi) for lam in range(1, n + 1)]
@@ -143,73 +143,94 @@ def cos_power_expansion(alpha: int) -> list[int]:
     return weights
 
 
+def _mapped_integral(lo: float, hi: float, lam: int, tol: float, scale: float) -> QuadratureResult:
+    """Int_0^pi cos(lam phi) / (lo sin^2(phi/2) + hi cos^2(phi/2)) dphi, lo, hi > 0,
+    on the fewest panels of the disk map whose error bound meets tol scale / 4.
+
+    The kernel is P_t(phi) / sqrt(lo hi), a Poisson kernel with pole radius
+    t = (sqrt(lo) - sqrt(hi)) / (sqrt(lo) + sqrt(hi)).  The map tan(phi/2) =
+    s tan(psi/2), s = (1 - c) / (1 + c), c = t / (1 + sqrt(1 - t^2)), with
+    Jacobian (1 - c^2) / (1 + 2c cos psi + c^2), turns it into P_c(psi) / sqrt(lo hi);
+    s = (hi / lo)^(1/4) finds c without the cancellation in 1 - t^2.  As c != t
+    this is not the closed form in disguise: f is the integrand at phi(psi)
+    times the Jacobian, the kernel written (1 + u^2) / (lo u^2 + hi) in
+    u = tan(phi/2), which unlike a rounded phi stays accurate near phi = pi.
+
+    The mapped coefficients are at most M rho^k, so N panels are off by at
+    most 2 pi M q / (1 - q), q = rho^(2N): exactly, for lam = 0, with rho = |c|
+    and M = 1 / sqrt(lo hi).  For lam >= 1, M is a Cauchy estimate on
+    |w| = rho = |c|^0.8: |cos(lam phi)| <= R^lam, R = (1 - |c| rho) / (rho - |c|),
+    and |P_c| <= (1 - c^2) rho / ((1 - |c| rho)(rho - |c|)).
+    """
+    if tol < MIN_TOL:
+        raise ValueError(f"tol {tol} below supported minimum {MIN_TOL}")
+    s = (hi / lo) ** 0.25
+    c = (1.0 - s) / (1.0 + s)
+    a = max(abs(c), sys.float_info.epsilon)  # c may round to 0, and the estimate needs rho > |c|
+    rho = a if lam == 0 else a**0.8
+    log_m = -0.5 * math.log(lo * hi)  # M is kept as its log: R^lam can overflow
+    if lam:
+        log_m += lam * math.log((1.0 - a * rho) / (rho - a))
+        log_m += math.log((1.0 - a * a) * rho / ((1.0 - a * rho) * (rho - a)))
+    # smallest m >= 1 with M rho^m / (1 - rho^m) <= tol scale / (8 pi), then N = ceil(m / 2)
+    log_c = math.log(tol * scale / (8.0 * math.pi)) - log_m
+    m = max(1, math.ceil((log_c - math.log1p(math.exp(log_c))) / math.log(rho)))
+    panels = (m + 1) // 2
+
+    def f(psi: float) -> float:
+        v = math.tan(0.5 * psi)
+        u = s * v
+        jacobian = s * (1.0 + v * v) / (1.0 + u * u)
+        return math.cos(2.0 * lam * math.atan(u)) * (1.0 + u * u) / (lo * u * u + hi) * jacobian
+
+    value = integrate_0_pi(f, panels).value
+    aliased = math.exp(log_m + 2 * panels * math.log(rho))
+    return QuadratureResult(value, 2.0 * math.pi * aliased / (1.0 - rho ** (2 * panels)), panels)
+
+
 def gf_by_integral(x: float, tol: float = 1e-9) -> QuadratureResult:
     """P(x) as (1/pi) Int_0^pi dphi / (1 - x - 2 x cos phi), for -1 < x < 1/3.
 
-    With k = 2x / (1 - x) and r = k / (1 + sqrt(1 - k^2)) the integrand is
-    P(x) (1 + 2 sum_m r^m cos(m phi)), so N panels are off by at most
-    2 |r|^(2N) / (1 - |r|^(2N)) relative; N is the fewest that keep this
-    below tol / 4; past MAX_PANELS, near an edge, it raises QuadratureError.
-    The denominator is evaluated as (1 + x) sin^2(phi/2) + (1 - 3x)
-    cos^2(phi/2), whose terms never cancel as 1 - x - 2x cos phi does.
+    The denominator is (1 + x) sin^2(phi/2) + (1 - 3x) cos^2(phi/2), whose
+    terms never cancel as 1 - x - 2x cos phi does.  On the disk map the panel
+    count to meet tol / 4 relative grows only like ((1 + x)(1 - 3x))^(-1/4),
+    so every double of the domain stays within MAX_PANELS.
 
     The value is also recomputed from the arccos antiderivative
-    F(phi) = arccos((cos phi - k) / (1 - k cos phi)) / sqrt(1 - k^2) at the
-    endpoints, and both are compared with the closed form
-    1 / sqrt((1 + x)(1 - 3x)); disagreement raises QuadratureError.  The
-    antiderivative loses accuracy like eps / (1 - k^2), so its tolerance
-    is max(1e-12, 4 eps / (1 - k^2)) relative.
+    F(phi) = arccos((cos phi - k) / (1 - k cos phi)) / sqrt(1 - k^2), with
+    k = 2x / (1 - x), at the endpoints, and both are compared with the
+    closed form 1 / sqrt((1 + x)(1 - 3x)); disagreement raises
+    QuadratureError.  The antiderivative loses accuracy like eps / (1 - k^2),
+    so its tolerance is max(1e-12, 4 eps / (1 - k^2)) relative.
     """
     if not -1.0 < x < 1.0 / 3.0:
         raise ValueError(f"need -1 < x < 1/3, got {x}")
-    if tol < MIN_TOL:
-        raise ValueError(f"tol {tol} below supported minimum {MIN_TOL}")
-    k = 2.0 * x / (1.0 - x)
-    root = math.sqrt(1.0 - k * k)
-    r = abs(k) / (1.0 + root)
-    panels = (_alias_order(r, tol / 8.0) + 1) // 2
     lo, hi = 1.0 + x, 1.0 - 2.0 * x - x  # each exact near the edge where it vanishes
-
-    def f(phi: np.ndarray) -> np.ndarray:
-        return 1.0 / (lo * np.sin(0.5 * phi) ** 2 + hi * np.cos(0.5 * phi) ** 2)
-
-    value = integrate_0_pi(f, panels).value / math.pi
     closed = 1.0 / math.sqrt(lo * hi)
+    result = _mapped_integral(lo, hi, 0, tol, math.pi * closed)
+    value = result.value / math.pi
+
+    k = 2.0 * x / (1.0 - x)
 
     def arc(phi: float) -> float:
         return math.acos((math.cos(phi) - k) / (1.0 - k * math.cos(phi)))
 
-    by_antiderivative = (arc(math.pi) - arc(0.0)) / root / ((1.0 - x) * math.pi)
+    by_antiderivative = (arc(math.pi) - arc(0.0)) / math.sqrt(1.0 - k * k) / ((1.0 - x) * math.pi)
     antiderivative_tol = max(1e-12, 4.0 * sys.float_info.epsilon / (1.0 - k * k))
 
     if abs(value - closed) > tol * max(1.0, abs(closed)):
-        raise QuadratureError(
-            f"quadrature {value} vs closed form {closed} at x={x}"
-        )
+        raise QuadratureError(f"quadrature {value} vs closed form {closed} at x={x}")
     if abs(by_antiderivative - closed) > antiderivative_tol * max(1.0, abs(closed)):
         raise QuadratureError(
             f"antiderivative route {by_antiderivative} vs closed form {closed} at x={x}"
         )
-    aliased = r ** (2 * panels)
-    return QuadratureResult(value, closed * 2.0 * aliased / (1.0 - aliased), panels)
+    return QuadratureResult(value, result.abs_error_estimate / math.pi, result.panels)
 
 
-def _poisson_integral(b: float, lam: int, tol: float) -> float:
-    """Int_0^pi cos(lam phi) / (1 - 2b cos phi + b^2) dphi to within tol / 4.
-
-    For k > lam the cos(k phi) coefficient is at most 2 b^(k - lam) / (1 - b^2),
-    so with 2N >= lam + m the error is at most 2 pi b^m / ((1 - b^2)(1 - b^m)).
-    The denominator is written (1 - b)^2 + 4 b sin^2(phi / 2), because
-    1 + b^2 - 2b cos phi cancels near phi = 0 as b -> 1.
-    """
-    if tol < MIN_TOL:
-        raise ValueError(f"tol {tol} below supported minimum {MIN_TOL}")
-    m = _alias_order(b, tol * (1.0 - b * b) / (8.0 * math.pi))
-
-    def f(phi: np.ndarray) -> np.ndarray:
-        return np.cos(lam * phi) / ((1.0 - b) ** 2 + 4.0 * b * np.sin(0.5 * phi) ** 2)
-
-    return integrate_0_pi(f, (lam + m + 1) // 2).value
+def _poisson_integral(b: float, lam: int, tol: float, scale: float) -> QuadratureResult:
+    # 1 - 2b cos phi + b^2 = (1 + b)^2 sin^2(phi/2) + (1 - b)^2 cos^2(phi/2), whose
+    # terms, unlike the left side's near phi = 0 as b -> 1, never cancel
+    return _mapped_integral((1.0 + b) ** 2, (1.0 - b) ** 2, lam, tol, scale)
 
 
 def b_identity_check(b: float, lam: int, tol: float = 1e-9) -> bool:
@@ -219,8 +240,9 @@ def b_identity_check(b: float, lam: int, tol: float = 1e-9) -> bool:
         raise ValueError(f"need 0 < b < 1, got {b}")
     if lam < 0:
         raise ValueError(f"lam must be >= 0, got {lam}")
-    closed = math.pi * b**lam / (1.0 - b * b)
-    return abs(_poisson_integral(b, lam, tol) - closed) <= tol * max(1.0, abs(closed))
+    closed = math.pi * b**lam / ((1.0 - b) * (1.0 + b))
+    scale = max(1.0, abs(closed))
+    return abs(_poisson_integral(b, lam, tol, scale).value - closed) <= tol * scale
 
 
 def b_reduction_chain_check(b: float, max_lambda: int, tol: float = 1e-9) -> bool:
@@ -234,9 +256,10 @@ def b_reduction_chain_check(b: float, max_lambda: int, tol: float = 1e-9) -> boo
         raise ValueError(f"need 0 < b < 1, got {b}")
     if max_lambda < 1:
         raise ValueError(f"max_lambda must be >= 1, got {max_lambda}")
-    values = [_poisson_integral(b, lam, tol) for lam in range(max_lambda + 1)]
-    scale = max(1.0, values[0])
-    if abs(values[0] - math.pi / (1.0 - b * b)) > tol * scale:
+    closed = math.pi / ((1.0 - b) * (1.0 + b))
+    scale = max(1.0, closed)
+    values = [_poisson_integral(b, lam, tol, scale).value for lam in range(max_lambda + 1)]
+    if abs(values[0] - closed) > tol * scale:
         return False
     if abs((1.0 + b * b) * values[0] - 2.0 * b * values[1] - math.pi) > tol * scale:
         return False

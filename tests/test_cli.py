@@ -202,8 +202,8 @@ def test_row_and_quad_z_build_only_one_row(capsys, monkeypatch) -> None:
     assert json.loads(out)["exact"] == str(z_30_7)
 
 
-def test_quad_gf_past_the_panel_budget_exits_three(capsys) -> None:
-    code, _, err = _run(capsys, "quad", "--kind", "gf", "--x", "-999999999999/1000000000000")
+def test_identity_past_the_panel_budget_exits_three(capsys) -> None:
+    code, _, err = _run(capsys, "identity", "--b", "999999999999/1000000000000")
     assert code == 3
     assert "panels" in err
 

@@ -75,6 +75,14 @@ def test_one_pass_rows_match_single_diagonals(method: str, data: st.DataObject) 
         assert row == [_z_comb(n, lam) for n in range(max_n + 1)], (lam, max_n)
 
 
+def test_delta_past_the_diagonal_builds_no_table(monkeypatch) -> None:
+    def refuse(base, max_order):
+        raise AssertionError("difference table built")
+
+    monkeypatch.setattr(methods.differences, "build_difference_table", refuse)
+    assert diagonal_values("delta", 1200, 5) == [0] * 6
+
+
 def test_first_mismatch_runs_each_route_once(monkeypatch) -> None:
     calls: dict[str, list[range]] = {}
 

@@ -1,9 +1,9 @@
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from trinomial import cli, quadrature, triangle
@@ -22,12 +22,12 @@ from trinomial.quadrature import (
 )
 from trinomial.triangle import build_triangle
 
-EPS = np.finfo(float).eps
+EPS = sys.float_info.epsilon
 
 
 def test_constant_integrates_to_pi() -> None:
     for panels in (1, 2, 7):
-        result = integrate_0_pi(lambda phi: np.ones_like(phi), panels)
+        result = integrate_0_pi(lambda phi: 1.0, panels)
         assert abs(result.value - math.pi) < 1e-12
         assert result.panels == panels
 
@@ -36,15 +36,15 @@ def test_pure_cosines_integrate_to_zero() -> None:
     # exact below the aliasing frequency 2N; at 2N the rule reads pi
     for panels in (1, 3, 8):
         for m in range(1, 2 * panels):
-            result = integrate_0_pi(lambda phi, m=m: np.cos(m * phi), panels)
+            result = integrate_0_pi(lambda phi, m=m: math.cos(m * phi), panels)
             assert abs(result.value) < 1e-12, (panels, m)
-        aliased = integrate_0_pi(lambda phi: np.cos(2 * panels * phi), panels)
+        aliased = integrate_0_pi(lambda phi: math.cos(2 * panels * phi), panels)
         assert abs(aliased.value - math.pi) < 1e-12, panels
 
 
 def test_cosine_squared() -> None:
     # cos^2(2 phi) = (1 + cos 4 phi) / 2 is exact from 3 panels on
-    result = integrate_0_pi(lambda phi: np.cos(2 * phi) ** 2, 3)
+    result = integrate_0_pi(lambda phi: math.cos(2 * phi) ** 2, 3)
     assert abs(result.value - math.pi / 2) < 1e-12
 
 
@@ -61,7 +61,7 @@ def test_tolerance_floor(capsys) -> None:
 
 
 def test_budget_exhaustion_raises() -> None:
-    def never(phi: np.ndarray) -> np.ndarray:
+    def never(phi: float) -> float:
         raise AssertionError("integrand evaluated")
 
     with pytest.raises(QuadratureError):
@@ -106,7 +106,11 @@ def test_gf_by_integral_quarter() -> None:
 
 
 def test_gf_by_integral_sample_points() -> None:
-    edges = (-1.0 + 1e-9, -1.0 + 1e-6, 1.0 / 3.0 - 1e-6, 1.0 / 3.0 - 1e-9)
+    # the last doubles inside the domain included
+    edges = (
+        math.nextafter(-1.0, 0.0), -1.0 + 1e-12, -1.0 + 1e-9, -1.0 + 1e-6,
+        1.0 / 3.0 - 1e-6, 1.0 / 3.0 - 1e-9, math.nextafter(1.0 / 3.0, 0.0),
+    )
     for x in (*edges, -0.9, -0.5, 0.0, 0.1, 0.25, 0.3):
         # exact arithmetic: in floats, 1 - 2x - 3x^2 loses digits at the edges
         closed = 1.0 / math.sqrt(float((1 + Fraction(x)) * (1 - 3 * Fraction(x))))
@@ -115,17 +119,40 @@ def test_gf_by_integral_sample_points() -> None:
         assert result.abs_error_estimate <= 2.5e-11 * closed, x
 
 
-def test_gf_by_integral_past_the_panel_budget_raises_before_evaluating(monkeypatch) -> None:
-    evaluated = []
+@pytest.fixture
+def panel_calls(monkeypatch) -> list[tuple[int, list[float]]]:
+    """(panels, angles evaluated) for each call of integrate_0_pi."""
+    calls = []
     real = quadrature.integrate_0_pi
 
     def spy(f, panels: int) -> QuadratureResult:
+        evaluated: list[float] = []
+        calls.append((panels, evaluated))
         return real(lambda phi: evaluated.append(phi) or f(phi), panels)
 
     monkeypatch.setattr(quadrature, "integrate_0_pi", spy)
+    return calls
+
+
+def test_b_identity_past_the_panel_budget_raises_before_evaluating(panel_calls) -> None:
     with pytest.raises(QuadratureError):
-        gf_by_integral(-1.0 + 1e-12)
-    assert evaluated == []
+        b_identity_check(1.0 - 1e-12, 0)
+    assert [evaluated for _, evaluated in panel_calls] == [[]]
+
+
+def test_each_check_integrates_once_on_a_fixed_panel_count(panel_calls) -> None:
+    for check in (
+        lambda: z_by_integral(12, 3),
+        lambda: gf_by_integral(math.nextafter(-1.0, 0.0)),
+        lambda: gf_by_integral(0.3),
+        lambda: b_identity_check(1e-300, 3),
+        lambda: b_identity_check(0.999, 8),
+    ):
+        panel_calls.clear()
+        assert check()
+        [(panels, evaluated)] = panel_calls
+        assert len(evaluated) == panels + 1
+    assert panels <= 1000  # b = 0.999 took 15078 panels before the disk map
 
 
 def test_gf_by_integral_domain() -> None:
