@@ -3,17 +3,19 @@
 Verbs:
 
     row         one full row of the coefficient triangle
-    central     p(0..max_n) by a chosen method
+    central     p(0..max_n) by a chosen method (diag at lam = 0)
     diag        z(0..max_n, lam) by a chosen method
     crosscheck  every method against the oracle over a triangular range
     gf          coefficients of P (lam = 0) or Z[lam]
     quad        one quadrature verification (z or gf form)
     identity    the b-substitution integral identities
 
-Exact integers are printed as decimal strings in every format, including
-JSON, so nothing is ever squeezed through a double.  crosscheck and
-identity exit nonzero on any disagreement, which makes them usable as CI
-tripwires.
+Each verb with --format builds one payload and hands it to _emit, which
+prints it as json, as csv (a header and rows) or as a table, so the three
+formats carry the same fields.  Exact integers are printed as decimal
+strings in every format, including JSON, so nothing is ever squeezed
+through a double.  crosscheck and identity exit nonzero on any
+disagreement, which makes them usable as CI tripwires.
 """
 
 from __future__ import annotations
@@ -30,63 +32,45 @@ from .exact import ExactnessError, parse_rational
 _FORMATS = ("table", "csv", "json")
 
 
-def _emit_rows(
+def _emit(
     fmt: str,
+    payload: dict,
     header: Sequence[str],
     rows: Iterable[Sequence[object]],
-    json_payload: dict,
+    table: Optional[Iterable[str]] = None,
 ) -> None:
-    if fmt == "table":
-        for row in rows:
-            print("  ".join(str(cell) for cell in row))
+    """Print one result: json the payload, csv the header and rows, table
+    the given lines or else each row joined by two spaces."""
+    if fmt == "json":
+        print(json.dumps(payload, indent=2))
     elif fmt == "csv":
         writer = csv.writer(sys.stdout)
         writer.writerow(header)
         writer.writerows(rows)
     else:
-        print(json.dumps(json_payload, indent=2))
+        for line in table if table is not None else ("  ".join(map(str, row)) for row in rows):
+            print(line)
 
 
 def _cmd_row(args: argparse.Namespace) -> int:
-    row = triangle.row(args.n)
-    _emit_rows(
-        args.format,
-        ["k", "coefficient"],
-        ([k, str(v)] for k, v in enumerate(row)),
-        {"command": "row", "n": args.n, "coefficients": [str(v) for v in row]},
-    )
+    coefficients = [str(v) for v in triangle.row(args.n)]
+    payload = {"command": "row", "n": args.n, "coefficients": coefficients}
+    _emit(args.format, payload, ["k", "coefficient"], enumerate(coefficients))
     return 0
 
 
-def _sequence_command(name: str, lam: int, args: argparse.Namespace) -> int:
-    values = methods.diagonal_values(args.method, lam, args.max_n)
-    _emit_rows(
-        args.format,
-        ["n", "value"],
-        ([n, str(v)] for n, v in enumerate(values)),
-        {
-            "command": name,
-            "method": args.method,
-            "lambda": lam,
-            "values": [str(v) for v in values],
-        },
-    )
+def _cmd_sequence(args: argparse.Namespace) -> int:
+    values = [str(v) for v in methods.diagonal_values(args.method, args.lam, args.max_n)]
+    payload = {"command": args.command, "method": args.method, "lambda": args.lam, "values": values}
+    _emit(args.format, payload, ["n", "value"], enumerate(values))
     return 0
-
-
-def _cmd_central(args: argparse.Namespace) -> int:
-    return _sequence_command("central", 0, args)
-
-
-def _cmd_diag(args: argparse.Namespace) -> int:
-    return _sequence_command("diag", args.lam, args)
 
 
 def _cmd_crosscheck(args: argparse.Namespace) -> int:
     chosen = list(dict.fromkeys(args.methods.split(","))) if args.methods else methods.METHOD_NAMES
     mismatch = methods.first_mismatch(args.max_n, chosen)
     if mismatch is None:
-        pairs = (args.max_n + 1) * (args.max_n + 2) // 2 if args.max_n >= 0 else 0
+        pairs = (args.max_n + 1) * (args.max_n + 2) // 2
         print(
             f"OK: {len(chosen)} methods agree with the oracle on {pairs} (n, lam) pairs, "
             f"0 <= lam <= n <= {args.max_n}"
@@ -103,46 +87,16 @@ def _cmd_crosscheck(args: argparse.Namespace) -> int:
 def _cmd_gf(args: argparse.Namespace) -> int:
     ps = series.gf_Z(args.lam, args.order)
     label = "P" if args.lam == 0 else f"Z[{args.lam}]"
-    if args.format == "table":
-        print(f"{label} = {ps}")
-        return 0
-    _emit_rows(
-        args.format,
-        ["degree", "numerator", "denominator"],
-        ps.csv_rows(),
-        {
-            "command": "gf",
-            "lambda": args.lam,
-            "order": args.order,
-            "coefficients": [
-                {"degree": k, "numerator": num, "denominator": den}
-                for k, num, den in ps.csv_rows()
-            ],
-        },
-    )
-    return 0
-
-
-def _print_quadrature(
-    fmt: str, command: str, result: quadrature.QuadratureResult, extra: dict
-) -> None:
+    header = ["degree", "numerator", "denominator"]
+    rows = [(k, str(c), "1") for k, c in enumerate(ps.coeffs)]
     payload = {
-        "command": command,
-        "value": result.value,
-        "abs_error_estimate": result.abs_error_estimate,
-        "panels": result.panels,
-        **extra,
+        "command": "gf",
+        "lambda": args.lam,
+        "order": args.order,
+        "coefficients": [dict(zip(header, row)) for row in rows],
     }
-    if fmt == "json":
-        print(json.dumps(payload, indent=2))
-    elif fmt == "csv":
-        writer = csv.writer(sys.stdout)
-        keys = list(payload)
-        writer.writerow(keys)
-        writer.writerow([payload[k] for k in keys])
-    else:
-        for key, value in payload.items():
-            print(f"{key}: {value}")
+    _emit(args.format, payload, header, rows, [f"{label} = {ps}"])
+    return 0
 
 
 def _cmd_quad(args: argparse.Namespace) -> int:
@@ -163,7 +117,15 @@ def _cmd_quad(args: argparse.Namespace) -> int:
         x = float(parse_rational(args.x))
         result = quadrature.gf_by_integral(x, tol=args.tol)
         extra = {"x": args.x}
-    _print_quadrature(args.format, "quad", result, extra)
+    payload = {
+        "command": "quad",
+        "value": result.value,
+        "abs_error_estimate": result.abs_error_estimate,
+        "panels": result.panels,
+        **extra,
+    }
+    table = [f"{key}: {value}" for key, value in payload.items()]
+    _emit(args.format, payload, list(payload), [list(payload.values())], table)
     return 0
 
 
@@ -206,14 +168,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-n", type=int, required=True)
     _add_method(p)
     _add_format(p)
-    p.set_defaults(func=_cmd_central)
+    p.set_defaults(func=_cmd_sequence, lam=0)
 
     p = sub.add_parser("diag", help="diagonal z(0..max_n, lam)")
     p.add_argument("--lambda", dest="lam", type=int, required=True)
     p.add_argument("--max-n", type=int, required=True)
     _add_method(p)
     _add_format(p)
-    p.set_defaults(func=_cmd_diag)
+    p.set_defaults(func=_cmd_sequence)
 
     p = sub.add_parser("crosscheck", help="compare all methods against the oracle")
     p.add_argument("--max-n", type=int, required=True)

@@ -133,12 +133,12 @@ def first_mismatch(
     Each chosen method runs once over the whole range.  Returns None if
     everything agrees, otherwise (method, lam, n, got, expected) for the
     first disagreement, scanning lam by lam and, within one lam, the
-    methods in the order given.
+    methods in the order given.  A negative max_n raises ValueError.
     """
     chosen = list(dict.fromkeys(methods if methods is not None else METHOD_NAMES))
     _check_methods(chosen)
     if max_n < 0:
-        return None
+        raise ValueError(f"max_n must be >= 0, got {max_n}")
     lams = range(max_n + 1)
     reference = _by_oracle(lams, max_n)
     first = None

@@ -161,9 +161,15 @@ def _mapped_integral(lo: float, hi: float, lam: int, tol: float, scale: float) -
     and M = 1 / sqrt(lo hi).  For lam >= 1, M is a Cauchy estimate on
     |w| = rho = |c|^0.8: |cos(lam phi)| <= R^lam, R = (1 - |c| rho) / (rho - |c|),
     and |P_c| <= (1 - c^2) rho / ((1 - |c| rho)(rho - |c|)).
+
+    For lo < hi the kernel peaks at phi = pi, where the node j pi / N is off
+    by about eps pi; phi -> pi - phi swaps lo and hi and multiplies the value
+    by (-1)^lam, which puts the peak at psi = 0, where the nodes are exact.
     """
     if tol < MIN_TOL:
         raise ValueError(f"tol {tol} below supported minimum {MIN_TOL}")
+    sign = (-1) ** lam if lo < hi else 1
+    lo, hi = max(lo, hi), min(lo, hi)
     s = (hi / lo) ** 0.25
     c = (1.0 - s) / (1.0 + s)
     a = max(abs(c), sys.float_info.epsilon)  # c may round to 0, and the estimate needs rho > |c|
@@ -183,7 +189,7 @@ def _mapped_integral(lo: float, hi: float, lam: int, tol: float, scale: float) -
         jacobian = s * (1.0 + v * v) / (1.0 + u * u)
         return math.cos(2.0 * lam * math.atan(u)) * (1.0 + u * u) / (lo * u * u + hi) * jacobian
 
-    value = integrate_0_pi(f, panels).value
+    value = sign * integrate_0_pi(f, panels).value
     aliased = math.exp(log_m + 2 * panels * math.log(rho))
     return QuadratureResult(value, 2.0 * math.pi * aliased / (1.0 - rho ** (2 * panels)), panels)
 

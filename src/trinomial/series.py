@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Sequence, Union
+from typing import Sequence, Union
 
 from .exact import ExactnessError, div_exact
 
@@ -178,11 +178,6 @@ class PowerSeries:
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
-
-    def csv_rows(self) -> Iterator[tuple[int, str, str]]:
-        """(degree, numerator, denominator = 1) per coefficient, as strings."""
-        for k, c in enumerate(self.coeffs):
-            yield k, str(c), "1"
 
     def __str__(self) -> str:
         parts: list[str] = []

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trinomial import cli, methods, triangle
+from trinomial import cli, methods, series, triangle
 from trinomial.exact import ExactnessError
 from trinomial.recurrences import central_sequence
 from trinomial.triangle import build_triangle
@@ -107,6 +107,13 @@ def test_deep_series_diagonal_and_gf_take_no_root(capsys, root_orders) -> None:
     assert code == 0
     assert out.strip() == "Z[1200] = 0 + O(x^1206)"
     assert root_orders == []
+
+
+def test_crosscheck_negative_max_n_exits_two(capsys) -> None:
+    code, out, err = _run(capsys, "crosscheck", "--max-n", "-1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: max_n must be >= 0, got -1\n"
 
 
 def test_crosscheck_unknown_method(capsys) -> None:
@@ -229,3 +236,51 @@ def test_integrality_failure_exits_four(capsys, monkeypatch) -> None:
     assert code == 4
     assert out == ""
     assert "not divisible" in err
+
+
+def _expected_rows(payload: dict) -> tuple[list[str], list[list[str]]]:
+    """The csv header and rows that carry exactly the json payload's data."""
+    if payload["command"] == "row":
+        return ["k", "coefficient"], [[str(k), v] for k, v in enumerate(payload["coefficients"])]
+    if payload["command"] in ("central", "diag"):
+        return ["n", "value"], [[str(n), v] for n, v in enumerate(payload["values"])]
+    if payload["command"] == "gf":
+        header = ["degree", "numerator", "denominator"]
+        return header, [[str(c[key]) for key in header] for c in payload["coefficients"]]
+    return list(payload), [[str(v) for v in payload.values()]]
+
+
+def _expected_table(payload: dict, header: list[str], rows: list[list[str]]) -> list[str]:
+    if payload["command"] == "gf":
+        coeffs = tuple(int(c["numerator"]) for c in payload["coefficients"])
+        label = "P" if payload["lambda"] == 0 else f"Z[{payload['lambda']}]"
+        return [f"{label} = {series.PowerSeries(coeffs)}"]
+    if payload["command"] == "quad":
+        return [f"{key}: {value}" for key, value in payload.items()]
+    return ["  ".join(row) for row in rows]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("row", "--n", "4"),
+        ("central", "--max-n", "6", "--method", "sum2"),
+        ("diag", "--lambda", "2", "--max-n", "7", "--method", "delta"),
+        ("gf", "--order", "5", "--lambda", "1"),
+        ("quad", "--kind", "z", "--n", "6", "--lambda", "2"),
+        ("quad", "--kind", "gf", "--x", "1/4", "--tol", "1e-10"),
+    ],
+    ids=lambda argv: " ".join(argv[:3]),
+)
+def test_every_format_carries_the_json_payload(capsys, argv) -> None:
+    payload = _json_of(*argv, "--format", "json")
+    assert payload["command"] == argv[0]
+    if argv[0] == "central":
+        assert payload["lambda"] == 0  # central is diag at lam 0
+    header, rows = _expected_rows(payload)
+    code, out, _ = _run(capsys, *argv, "--format", "csv")
+    assert code == 0
+    assert list(csv.reader(io.StringIO(out))) == [header, *rows]
+    code, out, _ = _run(capsys, *argv, "--format", "table")
+    assert code == 0
+    assert out.splitlines() == _expected_table(payload, header, rows)

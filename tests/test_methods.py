@@ -51,6 +51,8 @@ def test_bad_arguments_rejected() -> None:
         diagonal_values("oracle", -1, 4)
     with pytest.raises(ValueError):
         diagonal_values("oracle", 0, -1)
+    with pytest.raises(ValueError, match="max_n must be >= 0"):
+        first_mismatch(-1)
 
 
 def test_first_mismatch_clean() -> None:

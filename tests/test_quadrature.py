@@ -10,6 +10,7 @@ from trinomial import cli, quadrature, triangle
 from trinomial.binomial import char
 from trinomial.quadrature import (
     MAX_PANELS,
+    MIN_TOL,
     QuadratureError,
     QuadratureResult,
     b_identity_check,
@@ -117,6 +118,23 @@ def test_gf_by_integral_sample_points() -> None:
         result = gf_by_integral(x, tol=1e-10)
         assert abs(result.value - closed) <= 1e-10 * max(1.0, closed), x
         assert result.abs_error_estimate <= 2.5e-11 * closed, x
+
+
+def test_gf_by_integral_at_min_tol_next_to_minus_one() -> None:
+    # the kernel peaks at phi = pi here; node rounding there once failed tol 1e-13
+    for x in (-1.0 + 1e-13, math.nextafter(-1.0, 0.0)):
+        closed = 1.0 / math.sqrt(float((1 + Fraction(x)) * (1 - 3 * Fraction(x))))
+        result = gf_by_integral(x, tol=MIN_TOL)
+        assert abs(result.value - closed) <= MIN_TOL * closed, x
+
+
+def test_mapped_integral_swaps_its_peak_with_sign_minus_one_to_the_lam() -> None:
+    # phi -> pi - phi swaps lo and hi and multiplies cos(3 phi) by -1
+    tol = 1e-12
+    for lo, hi in ((4.0, 0.5), (1e-10, 4.0), (1.0, 1.0 + 1e-9)):
+        swapped = quadrature._mapped_integral(hi, lo, 3, tol, 1.0).value
+        direct = quadrature._mapped_integral(lo, hi, 3, tol, 1.0).value
+        assert abs(swapped + direct) <= tol, (lo, hi)
 
 
 @pytest.fixture

@@ -259,11 +259,6 @@ def test_str_rendering() -> None:
     assert str(polynomial([0], 2)) == "0 + O(x^3)"
 
 
-def test_csv_rows() -> None:
-    rows = list(polynomial([1, -12], 2).csv_rows())
-    assert rows == [(0, "1", "1"), (1, "-12", "1"), (2, "0", "1")]
-
-
 def test_constructor_rejects_non_integers() -> None:
     for bad in (Fraction(1, 2), Fraction(2), 1.0):
         with pytest.raises(TypeError):

@@ -34,3 +34,17 @@ def test_import_loads_no_numpy_and_no_dependency_is_declared() -> None:
     assert child.stdout.strip() == "False"
     pyproject = (PACKAGE.parents[1] / "pyproject.toml").read_text(encoding="utf-8")
     assert re.findall(r"^dependencies\s*=\s*(.*)$", pyproject, re.MULTILINE) == ["[]"]
+
+
+def test_cli_has_one_output_path() -> None:
+    """One json.dumps and one csv.writer: every --format verb goes through one emitter."""
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    calls = [
+        f"{node.func.value.id}.{node.func.attr}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and isinstance(node.func.value, ast.Name)
+    ]
+    assert calls.count("json.dumps") == 1
+    assert calls.count("csv.writer") == 1
