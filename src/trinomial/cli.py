@@ -24,6 +24,7 @@ import argparse
 import csv
 import json
 import sys
+from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from . import methods, quadrature, series, triangle
@@ -50,6 +51,17 @@ def _emit(
     else:
         for line in table if table is not None else ("  ".join(map(str, row)) for row in rows):
             print(line)
+
+
+def _inside(text: str, name: str, lo: Fraction, hi: Fraction, bounds: str) -> float:
+    # the literal is checked exactly, then as the double the checks receive
+    value = parse_rational(text)
+    if not lo < value < hi:
+        raise ValueError(f"need {bounds}, got {text}")
+    x = float(value)
+    if not float(lo) < x < float(hi):
+        raise ValueError(f"{name} = {text} rounds to {x}, outside {bounds}")
+    return x
 
 
 def _cmd_row(args: argparse.Namespace) -> int:
@@ -114,7 +126,7 @@ def _cmd_quad(args: argparse.Namespace) -> int:
     else:
         if args.x is None:
             raise ValueError("quad --kind gf needs --x")
-        x = float(parse_rational(args.x))
+        x = _inside(args.x, "x", Fraction(-1), Fraction(1, 3), "-1 < x < 1/3")
         result = quadrature.gf_by_integral(x, tol=args.tol)
         extra = {"x": args.x}
     payload = {
@@ -130,7 +142,7 @@ def _cmd_quad(args: argparse.Namespace) -> int:
 
 
 def _cmd_identity(args: argparse.Namespace) -> int:
-    b = float(parse_rational(args.b))
+    b = _inside(args.b, "b", Fraction(0), Fraction(1), "0 < b < 1")
     failures = 0
     for lam in range(args.lambda_max + 1):
         ok = quadrature.b_identity_check(b, lam, tol=args.tol)

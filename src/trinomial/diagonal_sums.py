@@ -7,17 +7,22 @@ symmetry the left half of the row carries no extra information.
 Three different reindexings of the same double sum are implemented
 separately on purpose: they disagree the moment any one of them is wrong,
 which is the whole point of keeping them independent.  Each returns whole
-diagonals over a range of lam and reads its binomials from one table per
-max_n, so a triangular range costs at most (max_n + 1)(max_n + 2) / 2
-calls of char, not two per term.  A fourth route multiplies each term into the
-next by a rational ratio instead of evaluating binomials from scratch;
-every such step is an exact integer division.
+diagonals over a range of lam, one multiply-add over a slice of n per
+summation index, and reads its binomials from one table of columns per
+max_n.  Column c holds C(m, c) over one contiguous run of m: the run's
+first entry comes from char, every other from one exact step from its
+neighbour, so a table costs one char per column run and only the runs
+some form reads are built.  A fourth route multiplies each term into the next
+by a rational ratio instead of evaluating binomials from scratch; every
+such step is an exact integer division.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable
+from itertools import repeat
+from operator import add, mul
+from typing import Callable, Iterable
 
 from .binomial import char
 from .exact import div_exact
@@ -27,6 +32,7 @@ __all__ = [
     "z_sum_form2",
     "z_sum_form3",
     "z_term_ratio",
+    "z_ratio_diagonals",
     "central_p_factor_series",
 ]
 
@@ -38,71 +44,79 @@ def _check_indices(n: int, lam: int) -> None:
         raise ValueError(f"lam must be >= 0, got {lam}")
 
 
-class _Row(dict):
-    """Row m of the binomial table, k -> char(m, k), zero past k = m.
-
-    An entry is filled the first time a form reads it, so a deep diagonal
-    costs only the few binomials it touches, in time and in memory.
-    """
-
-    def __init__(self, m: int) -> None:
-        self.m = m
-
-    def __missing__(self, k: int) -> int:
-        self[k] = value = char(self.m, k) if k <= self.m else 0
-        return value
+def _column_steps(c: int, m: int, value: int, count: int, step: int) -> list[int]:
+    # the next count entries of column c from value = C(m, c), one exact step
+    # each: up to C(m + 1, c) for step 1, by the mirror step to C(m - 1, c) for -1
+    out = []
+    for m in range(m, m + count * step, step):
+        value = div_exact(value * (m + 1), m + 1 - c) if step > 0 else div_exact(value * (m - c), m)
+        out.append(value)
+    return out
 
 
-Table = tuple[_Row, ...]
+class _Table(dict):
+    """Column c -> [first m, [C(first m, c), C(first m + 1, c), ...]]."""
+
+    def run(self, c: int, lo: int, hi: int) -> list[int]:
+        """C(lo..hi, c) for c <= lo, growing column c's run to cover them."""
+        if lo > hi:
+            return []
+        column = self.get(c)
+        if column is None:
+            column = self[c] = [lo, [char(lo, c)]]
+        first, values = column
+        if lo < first:
+            values[:0] = _column_steps(c, first, values[0], first - lo, -1)[::-1]
+            column[0] = first = lo
+        last = first + len(values) - 1
+        if hi > last:
+            values += _column_steps(c, last, values[-1], hi - last, 1)
+        return values[lo - first : hi + 1 - first]
 
 
 @lru_cache(maxsize=4)
-def _char_table(max_n: int) -> Table:
+def _char_table(max_n: int) -> _Table:
     # one table per max_n, shared by the three forms
-    return tuple(_Row(m) for m in range(max_n + 1))
+    return _Table()
 
 
-def _diagonals(
-    term_sum: Callable[[Table, int, int], int], lams: range, max_n: int
-) -> list[list[int]]:
+def _diagonals(kernel: Callable[[int, int], list[int]], lams: range, max_n: int) -> list[list[int]]:
     _check_indices(max_n, min(lams, default=0))
-    table = _char_table(max_n)
-    return [[term_sum(table, n, lam) for n in range(max_n + 1)] for lam in lams]
+    return [kernel(lam, max_n) for lam in lams]
 
 
-def _form1(table: Table, n: int, lam: int) -> int:
-    row = table[n]
-    total = 0
-    a = 0
-    while True:
-        first = row[a]
-        term = first * table[n - a][lam + a] if first else 0
-        if term == 0:
-            return total
-        total += term
-        a += 1
+# Each sum kernel adds a summation index into acc[start:] = z(start..max_n, lam) with one
+# map over the slice.  The factors' runs span that slice exactly, and the run at the
+# lower m is asked for first, so a new column is seeded where char is cheapest.
+def _form1(lam: int, max_n: int) -> list[int]:
+    run = _char_table(max_n).run
+    acc = [0] * (max_n + 1)
+    for a in range((max_n - lam) // 2 + 1):  # until lam + 2a > max_n
+        start = lam + 2 * a
+        products = map(mul, run(lam + a, lam + a, max_n - a), run(a, start, max_n))
+        acc[start:] = map(add, acc[start:], products)
+    return acc
 
 
 def z_sum_form1(lams: range, max_n: int) -> list[list[int]]:
     """z(0..max_n, lam) for each lam in lams, with
     z(n, lam) = sum over a of char(n, a) * char(n - a, lam + a).
 
-    Terms vanish once a passes (n - lam) / 2 and stay zero, so each sum
-    stops at its first zero term.
+    Term a vanishes for n < lam + 2a, so index a adds to n >= lam + 2a
+    only, and the sum stops once lam + 2a passes max_n.
     """
     return _diagonals(_form1, lams, max_n)
 
 
-def _form2(table: Table, n: int, lam: int) -> int:
-    row = table[n]
-    total = 0
-    k = 0
-    while True:
-        first = row[lam + k]
-        if first == 0:
-            return total
-        total += first * table[n - lam - k][k]
-        k += 1
+def _form2(lam: int, max_n: int) -> list[int]:
+    run = _char_table(max_n).run
+    acc = [0] * (max_n + 1)
+    for j in range(lam, max_n + 1):  # j = lam + k, until j > max_n
+        k = j - lam
+        if j + k <= max_n:  # the second factor is zero below n = j + k
+            products = map(mul, run(k, k, max_n - j), run(j, j + k, max_n))
+            acc[j + k :] = map(add, acc[j + k :], products)
+    return acc
 
 
 def z_sum_form2(lams: range, max_n: int) -> list[list[int]]:
@@ -110,30 +124,35 @@ def z_sum_form2(lams: range, max_n: int) -> list[list[int]]:
     z(n, lam) = sum over k of char(n, lam + k) * char(n - lam - k, k).
 
     Unlike form 1, the second factor can vanish while the first is still
-    alive, so only the first factor going to zero ends each sum.
+    alive, so only the first factor going to zero, at lam + k > max_n,
+    ends the sum; index k adds to n >= lam + 2k only.
     """
     return _diagonals(_form2, lams, max_n)
 
 
-def _form3(table: Table, n: int, lam: int) -> int:
-    row = table[n]
-    total = 0
-    k = 0
-    while True:
-        second = row[lam + 2 * k]
-        if second == 0:
-            return total
-        total += table[lam + 2 * k][k] * second
-        k += 1
+def _form3(lam: int, max_n: int) -> list[int]:
+    run = _char_table(max_n).run
+    acc = [0] * (max_n + 1)
+    for j in range(lam, max_n + 1, 2):  # j = lam + 2k, until j > max_n
+        k = (j - lam) // 2
+        acc[j:] = map(add, acc[j:], map(mul, repeat(run(k, j, j)[0]), run(j, j, max_n)))
+    return acc
 
 
 def z_sum_form3(lams: range, max_n: int) -> list[list[int]]:
     """z(0..max_n, lam) for each lam in lams, with
     z(n, lam) = sum over k of char(lam + 2k, k) * char(n, lam + 2k).
 
-    Each sum stops when the second factor goes to zero.
+    Index k adds to n >= lam + 2k, where the second factor is alive, and
+    the sum stops once lam + 2k passes max_n.
     """
     return _diagonals(_form3, lams, max_n)
+
+
+def _ratio_step(terms: Iterable[int], first_u: int, lam: int, a: int) -> list[int]:
+    # term a + 1 of z(n, lam) from term a, for terms at u = n - 2a - lam = first_u, first_u + 1, ...
+    d = (a + 1) * (lam + a + 1)
+    return [div_exact(t * u * (u - 1), d) for u, t in enumerate(terms, first_u)]
 
 
 def z_term_ratio(n: int, lam: int) -> tuple[int, list[int]]:
@@ -145,25 +164,34 @@ def z_term_ratio(n: int, lam: int) -> tuple[int, list[int]]:
         (n - 2a - lam) * (n - 2a - lam - 1) / ((a + 1) * (lam + a + 1))
 
     to produce term a+1.  The numerator hits zero exactly when the terms
-    run out.  Returns (sum, list of terms); every term is checked to be an
-    integer even though the ratio is not.
+    run out, after term (n - lam) // 2.  Returns (sum, list of terms); every
+    term is checked to be an integer even though the ratio is not.
     """
     _check_indices(n, lam)
-    term = char(n, lam)
-    if term == 0:
-        return 0, []
-    terms = [term]
-    a = 0
-    while True:
-        term = div_exact(
-            term * (n - 2 * a - lam) * (n - 2 * a - lam - 1),
-            (a + 1) * (lam + a + 1),
-        )
-        if term == 0:
-            break
-        terms.append(term)
-        a += 1
+    terms = [char(n, lam)] if lam <= n else []
+    for a in range((n - lam) // 2):
+        terms += _ratio_step(terms[-1:], n - 2 * a - lam, lam, a)
     return sum(terms), terms
+
+
+def _ratio_diagonal(lam: int, max_n: int) -> list[int]:
+    if lam > max_n:
+        return [0] * (max_n + 1)
+    # first terms C(n, lam) for n = lam..max_n, down the column from one seed
+    seed = char(lam, lam)
+    terms = [seed, *_column_steps(lam, lam, seed, max_n - lam, 1)]
+    totals = [0] * lam + terms
+    for a in range((max_n - lam) // 2):
+        # term a + 1 is alive for n >= lam + 2a + 2 (u >= 2), the tail of term a's span
+        terms = _ratio_step(terms[2:], 2, lam, a)
+        totals[lam + 2 * a + 2 :] = map(add, totals[lam + 2 * a + 2 :], terms)
+    return totals
+
+
+def z_ratio_diagonals(lams: range, max_n: int) -> list[list[int]]:
+    """z(0..max_n, lam) for each lam in lams by the term ratio of
+    z_term_ratio, each step taken for every n still alive at once."""
+    return _diagonals(_ratio_diagonal, lams, max_n)
 
 
 def central_p_factor_series(n: int) -> int:

@@ -16,6 +16,7 @@ z[lam+1](n) = z[lam](n+1) - z[lam](n) - z[lam-1](n).
 
 from __future__ import annotations
 
+from operator import sub
 from typing import Sequence
 
 from .binomial import char
@@ -46,7 +47,7 @@ def build_difference_table(
     rows = [tuple(base)]
     for _ in range(max_order):
         prev = rows[-1]
-        rows.append(tuple(prev[i + 1] - prev[i] for i in range(len(prev) - 1)))
+        rows.append(tuple(map(sub, prev[1:], prev)))
     return tuple(rows)
 
 
@@ -72,21 +73,25 @@ def z_from_differences(
 ) -> list[int]:
     """z(0..max_n, lam), lam >= 1, from a difference table of the p column.
 
-    Every index is nonnegative, so a table too short for (lam, max_n)
-    raises IndexError.
+    2 z(., lam) is formed as one combination of whole difference rows, and
+    each value is then checked to be even.  Every index is nonnegative, so
+    a table too short for (lam, max_n) raises IndexError.
     """
     coeffs = delta_expansion_coefficients(lam)
     if max_n < 0:
         raise ValueError(f"max_n must be >= 0, got {max_n}")
-    values = []
-    for n in range(max_n + 1):
-        doubled = sum(c * rows[lam - 2 * j][n] for j, c in enumerate(coeffs))
-        if doubled % 2:
+    doubled = [0] * (max_n + 1)
+    for j, c in enumerate(coeffs):
+        row = rows[lam - 2 * j]
+        if len(row) <= max_n:
+            raise IndexError(f"difference row {lam - 2 * j} too short for max_n = {max_n}")
+        doubled = [d + c * v for d, v in zip(doubled, row)]
+    for n, value in enumerate(doubled):
+        if value & 1:
             raise ExactnessError(
-                f"Delta expansion for lam={lam}, n={n} gave odd value {doubled}"
+                f"Delta expansion for lam={lam}, n={n} gave odd value {value}"
             )
-        values.append(doubled // 2)
-    return values
+    return [value >> 1 for value in doubled]
 
 
 def stepwise_chain(

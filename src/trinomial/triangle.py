@@ -67,6 +67,8 @@ def build_triangle(max_n: int) -> TrinomialTriangle:
 
 def row(n: int) -> tuple[int, ...]:
     """Row n alone: build_triangle(n).row(n) in O(n) memory."""
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
     return deque(_rows(n), maxlen=1)[0]
 
 

@@ -66,7 +66,7 @@ def test_criterion_04_offset_one_recurrence() -> None:
 
 def test_criterion_05_cross_method_consistency() -> None:
     start = time.perf_counter()
-    ok = t.first_mismatch(100) is None
+    ok = t.first_mismatch(200) is None
     tri = t.build_triangle(200)
     for lam in range(9):
         rec = t.general_sequence(lam, 200)
@@ -78,7 +78,7 @@ def test_criterion_05_cross_method_consistency() -> None:
     elapsed = time.perf_counter() - start
     _verdict(
         5,
-        "all methods equal the oracle for lam <= n <= 100; recurrence and "
+        "all methods equal the oracle for lam <= n <= 200; recurrence and "
         "series extend to n = 200 for lam <= 8, in under 30 s",
         ok and elapsed < 30.0,
         elapsed,

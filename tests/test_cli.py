@@ -216,9 +216,31 @@ def test_identity_past_the_panel_budget_exits_three(capsys) -> None:
 
 
 def test_row_negative_exits_nonzero(capsys) -> None:
-    code, _, err = _run(capsys, "row", "--n", "-1")
+    code, out, err = _run(capsys, "row", "--n", "-1")
     assert code == 2
-    assert "error" in err
+    assert out == ""
+    assert err == "error: n must be >= 0, got -1\n"
+    assert "max_n" not in err
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("quad", "--kind", "gf", "--x", "1/3"), "need -1 < x < 1/3, got 1/3"),
+        (("quad", "--kind", "gf", "--x", "-1"), "need -1 < x < 1/3, got -1"),
+        (("quad", "--kind", "gf", "--x", "33333333333333333333/100000000000000000001"),
+         "x = 33333333333333333333/100000000000000000001 rounds to 0.3333333333333333, "
+         "outside -1 < x < 1/3"),
+        (("identity", "--b", "1"), "need 0 < b < 1, got 1"),
+        (("identity", "--b", "99999999999999999999/100000000000000000000"),
+         "b = 99999999999999999999/100000000000000000000 rounds to 1.0, outside 0 < b < 1"),
+    ],
+)
+def test_domain_errors_name_the_literal_checked_exactly(capsys, argv, message) -> None:
+    code, out, err = _run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_unknown_verb_exits_two(capsys) -> None:

@@ -11,8 +11,10 @@ from trinomial.diagonal_sums import (
     z_sum_form1,
     z_sum_form2,
     z_sum_form3,
+    z_ratio_diagonals,
     z_term_ratio,
 )
+from trinomial.exact import div_exact
 from trinomial.triangle import build_triangle
 
 P_KNOWN = [1, 1, 3, 7, 19, 51, 141, 393, 1107, 3139, 8953, 25653, 73789]
@@ -88,6 +90,70 @@ def test_deep_diagonal_asks_char_only_for_what_it_reads(form, char_calls) -> Non
     rows = form(range(290, 291), 300)
     assert rows == [[_z(n, 290) for n in range(301)]]
     assert len(char_calls) <= 2 * 301
+
+
+def _z_comb(n: int, lam: int) -> int:
+    # form 1's double sum in math.comb, independent of the package's binomials
+    return sum(math.comb(n, a) * math.comb(n - a, lam + a) for a in range(n + 1))
+
+
+def _entries(max_n: int) -> int:
+    return sum(len(values) for _, values in diagonal_sums._char_table(max_n).values())
+
+
+@pytest.fixture
+def exact_steps(monkeypatch) -> list[tuple[int, int]]:
+    """Every div_exact call diagonal_sums makes from here on."""
+    calls: list[tuple[int, int]] = []
+
+    def counting(a: int, b: int) -> int:
+        calls.append((a, b))
+        return div_exact(a, b)
+
+    monkeypatch.setattr(diagonal_sums, "div_exact", counting)
+    return calls
+
+
+@pytest.mark.parametrize("form", [z_sum_form1, z_sum_form2, z_sum_form3])
+def test_cold_full_table_takes_one_exact_step_per_entry_past_each_seed(
+    form, char_calls, exact_steps
+) -> None:
+    form(range(41), 40)
+    entries = _entries(40)
+    assert entries == 41 * 42 // 2
+    assert len(char_calls) == len(diagonal_sums._char_table(40))  # one seed per column run
+    assert len(exact_steps) == entries - len(char_calls)
+
+
+@pytest.mark.parametrize("form", [z_sum_form1, z_sum_form2, z_sum_form3])
+@pytest.mark.parametrize("lam,max_n", [(290, 300), (40, 40), (39, 40), (20, 40), (0, 40)])
+def test_one_diagonal_builds_at_most_its_square(form, char_calls, lam, max_n) -> None:
+    rows = form(range(lam, lam + 1), max_n)
+    assert rows == [[_z_comb(n, lam) for n in range(max_n + 1)]]
+    # (max_n - lam + 1)^2, except that lam = max_n still reads two binomials
+    assert _entries(max_n) <= max((max_n - lam + 1) ** 2, 2)
+
+
+def test_table_grows_down_and_up_in_any_order(char_calls) -> None:
+    # one cached table serves every form; runs first built high must grow down
+    for lam in (30, 0, 20):
+        for form in (z_sum_form1, z_sum_form2, z_sum_form3):
+            assert form(range(lam, lam + 1), 40) == [[_z_comb(n, lam) for n in range(41)]]
+    for c, (first, values) in diagonal_sums._char_table(40).items():
+        assert values == [math.comb(m, c) for m in range(first, first + len(values))], c
+
+
+@pytest.mark.parametrize("lam,max_n", [(0, 40), (3, 40), (40, 40), (41, 40)])
+def test_cold_ratio_diagonal_takes_one_exact_step_per_column_step_and_term(
+    char_calls, exact_steps, lam, max_n
+) -> None:
+    assert z_ratio_diagonals(range(lam, lam + 1), max_n) == [
+        [_z_comb(n, lam) for n in range(max_n + 1)]
+    ]
+    column_steps = max(max_n - lam, 0)
+    later_terms = sum((n - lam) // 2 for n in range(lam, max_n + 1))
+    assert len(exact_steps) == column_steps + later_terms
+    assert len(char_calls) == (1 if lam <= max_n else 0)
 
 
 def test_term_ratio_table_n6() -> None:

@@ -99,7 +99,7 @@ def test_z_from_differences_errors() -> None:
         z_from_differences(table, 2, 8)  # Delta^2 row stops at index 6
     with pytest.raises(IndexError):
         z_from_differences(table, 5, 0)  # no Delta^5 row
-    with pytest.raises(ExactnessError):
+    with pytest.raises(ExactnessError, match="lam=2, n=0"):
         # a base that is not the central column breaks the parity guarantee
         bad = build_difference_table([1, 2, 4, 8, 16], 2)
         z_from_differences(bad, 2, 0)

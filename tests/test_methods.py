@@ -67,7 +67,7 @@ def test_first_mismatch_subset() -> None:
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_one_pass_rows_match_single_diagonals(method: str, data: st.DataObject) -> None:
-    max_n = data.draw(st.integers(0, 30), label="max_n")
+    max_n = data.draw(st.integers(0, 60), label="max_n")
     a = data.draw(st.integers(0, max_n + 2), label="a")
     b = data.draw(st.integers(a + 1, max_n + 3), label="b")
     rows = methods._METHODS[method](range(a, b), max_n)
