@@ -19,7 +19,6 @@ from __future__ import annotations
 from operator import sub
 from typing import Sequence
 
-from .binomial import char
 from .exact import ExactnessError, div_exact
 
 __all__ = [
@@ -56,15 +55,15 @@ def delta_expansion_coefficients(lam: int) -> list[int]:
 
     c_0 = 1 and c_j = (lam / j) * C(lam - j - 1, j - 1); the list covers
     exactly the orders lam, lam - 2, lam - 4, ... that stay nonnegative.
+    Each c_j is one exact step from the one before,
+    c_j = c_(j-1) (lam - 2j + 2)(lam - 2j + 1) / (j (lam - j)).
     """
     if lam < 1:
         raise ValueError(f"lam must be >= 1, got {lam}")
-    coeffs = [1]
-    j = 1
-    while lam - 2 * j >= 0:
-        c = div_exact(lam * char(lam - j - 1, j - 1), j)
+    coeffs, c = [1], 1
+    for j in range(1, lam // 2 + 1):
+        c = div_exact(c * (lam - 2 * j + 2) * (lam - 2 * j + 1), j * (lam - j))
         coeffs.append(-c if j % 2 else c)
-        j += 1
     return coeffs
 
 

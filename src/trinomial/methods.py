@@ -25,22 +25,23 @@ Route = Callable[[range, int], list[list[int]]]
 
 
 @lru_cache(maxsize=4)
-def _shared_triangle(max_n: int) -> triangle.TrinomialTriangle:
-    return triangle.build_triangle(max_n)
-
-
-@lru_cache(maxsize=4)
 def _central_base(max_n: int) -> tuple[int, ...]:
     return recurrences.central_sequence(max_n)
 
 
+@lru_cache(maxsize=4)
+def _oracle_diagonals(lams: range, max_n: int) -> tuple[tuple[int, ...], ...]:
+    # row n holds z(n, lam) at index n + lam for lam <= n; past that, 0.
+    # Rows are streamed, so only the requested diagonals are ever kept.
+    diagonals = [[0] * min(lam, max_n + 1) for lam in lams]
+    for n, row in enumerate(triangle._rows(max_n)):
+        for diagonal, value in zip(diagonals, row[n + lams.start : n + lams.stop]):
+            diagonal.append(value)
+    return tuple(map(tuple, diagonals))
+
+
 def _by_oracle(lams: range, max_n: int) -> list[list[int]]:
-    # row n holds z(n, lam) at index n + lam for lam <= n; past that, 0
-    rows = _shared_triangle(max_n).rows
-    return [
-        [0] * min(lam, max_n + 1) + [rows[n][n + lam] for n in range(lam, max_n + 1)]
-        for lam in lams
-    ]
+    return [list(diagonal) for diagonal in _oracle_diagonals(lams, max_n)]
 
 
 def _by_sum(form: Route) -> Route:

@@ -97,21 +97,18 @@ def z_by_integral(n: int, lam: int) -> QuadratureResult:
     return QuadratureResult(integrate_0_pi(f, panels).value / math.pi, 0.0, panels)
 
 
-def fourier_decomposition_check(
-    n: int, tol: float = 1e-9, grid_points: int = 64
-) -> bool:
+def fourier_decomposition_check(n: int) -> bool:
     """Check (1 + 2 cos phi)^n = p(n) + 2 sum_lam z(n, lam) cos(lam phi)
-    pointwise on a uniform angle grid.
+    pointwise at 64 equally spaced angles from 0 to pi.
 
     The right side is reconstructed from row n of the exact triangle.
-    Agreement is required to tol relative to the local magnitude
+    Agreement is required to 1e-9 relative to the local magnitude
     (absolute where the left side vanishes), or to the roundoff of the
     cosine sum, (n + 1) eps sum |terms|, where its terms cancel.
     """
     if not 0 <= n <= 20:
         raise ValueError(f"need 0 <= n <= 20, got {n}")
-    if grid_points < 2:
-        raise ValueError("need at least two grid points")
+    tol, grid_points = 1e-9, 64
     diag = triangle.row(n)[n:]
     for j in range(grid_points):
         phi = math.pi * j / (grid_points - 1)

@@ -14,8 +14,8 @@ The generating functions:
 
 so the coefficient of x^(n+lam) in Z[lam] is z(n, lam).  M is the
 Motzkin series, so Z[lam] is x^(2 lam) P M^lam and is worked out at
-order - 2 lam.  The square root is computed by Newton iteration and
-certified by squaring back.
+order - 2 lam.  The square root is worked out one coefficient at a time
+from s^2 = a, with one exact halving each, and certified by squaring back.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 from typing import Sequence, Union
 
 from .exact import ExactnessError, div_exact
@@ -147,25 +148,23 @@ class PowerSeries:
         return result
 
     def sqrt(self) -> PowerSeries:
-        """Square root by Newton iteration s <- (s + a/s) / 2.
+        """Square root s with s_0 = 1, one coefficient at a time.
 
-        Requires unit constant term.  Each pass doubles the number of
-        correct coefficients.  If the root is an integer series, s + a/s
-        truncated at the new target is exactly twice it, so the halving is
-        a div_exact and a radicand with no integer root raises there.  The
-        result is certified by squaring back, so a wrong root cannot escape.
+        Requires unit constant term.  Comparing x^k in s^2 = a gives
+        2 s_k = a_k - sum_{i=1}^{k-1} s_i s_(k-i), so each coefficient is
+        one div_exact halving and a radicand with no integer root raises
+        there.  The result is certified by squaring back, so a wrong root
+        cannot escape.
         """
         if self.coeffs[0] != 1:
             raise ValueError("sqrt requires constant term 1")
-        order = self.order
-        s: tuple[int, ...] = (1,)
-        while len(s) - 1 < order:
-            target = min(2 * (len(s) - 1) + 1, order)
-            a = self.coeffs[: target + 1]
-            padded = s + (0,) * (target + 1 - len(s))
-            quotient = _div(a, padded)
-            s = tuple(div_exact(u + v, 2) for u, v in zip(padded, quotient))
-        root = PowerSeries(s)
+        a, s = self.coeffs, [1]
+        for k in range(1, len(a)):
+            # each pair i < k - i once, doubled, plus the middle square
+            pairs = sum(map(mul, s[1 : (k + 1) // 2], s[k - 1 : k // 2 : -1]))
+            middle = 0 if k % 2 else s[k // 2] ** 2
+            s.append(div_exact(a[k] - 2 * pairs - middle, 2))
+        root = PowerSeries(tuple(s))
         if (root * root).coeffs != self.coeffs:
             raise ExactnessError("square root certification failed")
         return root
@@ -261,9 +260,7 @@ def gf_Z(lam: int, order: int) -> PowerSeries:
     return PowerSeries((0,) * (2 * lam) + (gf_M(depth) ** lam * p).coeffs)
 
 
-def b_substitution_check(
-    b: Union[Fraction, int], order: int = 160, tol: float = 1e-9
-) -> tuple[Fraction, Fraction]:
+def b_substitution_check(b: Union[Fraction, int]) -> tuple[Fraction, Fraction]:
     """Verify the substitution x = b / (b^2 + b + 1) exactly at one point.
 
     Checks, for rational 0 < b < 1:
@@ -272,7 +269,8 @@ def b_substitution_check(
         squaring (exact);
       * nu(x) = b * x, verified by evaluating the truncated nu series at x
         and bounding the dropped tail geometrically (nu's coefficients are
-        below 3^k, so the tail after x^N is at most (3x)^(N+1) / (3(1-3x))).
+        below 3^k, so the tail after x^N is at most (3x)^(N+1) / (3(1-3x))),
+        with N = 160 and a gap beyond that tail tolerated up to 1e-9.
 
     Returns (x, radical) as exact rationals.
     """
@@ -283,6 +281,7 @@ def b_substitution_check(
     radical = (1 - b * b) / (1 + b + b * b)
     if radical * radical != 1 - 2 * x - 3 * x * x:
         raise ExactnessError(f"radical identity failed at b={b}")
+    order, tol = 160, 1e-9
     nu_at_x = gf_nu(order).evaluate(x)
     tail = (3 * x) ** (order + 1) / (3 * (1 - 3 * x))
     gap = abs(nu_at_x - b * x)

@@ -139,9 +139,7 @@ def test_criterion_08_integral_representations() -> None:
 
 
 def test_criterion_09_fourier_identity() -> None:
-    ok = all(
-        t.fourier_decomposition_check(n, tol=1e-9, grid_points=64) for n in range(13)
-    )
+    ok = all(t.fourier_decomposition_check(n) for n in range(13))
     _verdict(
         9,
         "(1+2cos phi)^n equals its diagonal cosine expansion at 64 angles, "

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from trinomial.differences import (
@@ -48,13 +50,19 @@ def test_delta_expansion_coefficients_known() -> None:
         delta_expansion_coefficients(0)
 
 
+def test_delta_expansion_coefficients_match_the_closed_form() -> None:
+    for lam in range(1, 401):
+        expected = [1] + [
+            (-1) ** j * lam * math.comb(lam - j - 1, j - 1) // j for j in range(1, lam // 2 + 1)
+        ]
+        assert delta_expansion_coefficients(lam) == expected, lam
+
+
 def test_delta_expansion_matches_surd_binomial_expansion() -> None:
     """The same signed coefficients arise from expanding
     ((x + w)^lam + (x - w)^lam) / 2^lam with w^2 = x^2 - 4: odd powers of w
     cancel and the result is sum_j c_j x^(lam - 2j) with the tested signs.
     All arithmetic here is exact polynomial arithmetic."""
-    import math
-
     for lam in range(1, 13):
         order = max(lam, 2)
         acc = polynomial([0], order)

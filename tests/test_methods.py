@@ -1,12 +1,13 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trinomial import methods
+from trinomial import binomial, methods, triangle
 from trinomial.methods import METHOD_NAMES, central_values, diagonal_values, first_mismatch
 from trinomial.triangle import build_triangle
 
@@ -83,6 +84,52 @@ def test_delta_past_the_diagonal_builds_no_table(monkeypatch) -> None:
 
     monkeypatch.setattr(methods.differences, "build_difference_table", refuse)
     assert diagonal_values("delta", 1200, 5) == [0] * 6
+
+
+def test_cold_delta_route_looks_up_no_binomial() -> None:
+    methods._central_base.cache_clear()
+    binomial._char_in_range.cache_clear()
+    assert first_mismatch(40, ["delta"]) is None
+    info = binomial._char_in_range.cache_info()
+    assert info.hits + info.misses == 0
+
+
+def test_oracle_streams_rows_and_builds_no_triangle(monkeypatch) -> None:
+    def refuse(max_n):
+        raise AssertionError("triangle built")
+
+    monkeypatch.setattr(triangle, "build_triangle", refuse)
+    methods._oracle_diagonals.cache_clear()
+    assert first_mismatch(12) is None
+    assert diagonal_values("oracle", 2, 12) == [_z_comb(n, 2) for n in range(13)]
+
+
+def test_one_cold_oracle_diagonal_keeps_no_triangle() -> None:
+    methods._oracle_diagonals.cache_clear()
+    tracemalloc.start()
+    try:
+        values = diagonal_values("oracle", 3, 1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert values[1000] == _z_comb(1000, 3)
+    assert peak < 5 * 2**20
+
+
+def test_a_repeated_oracle_request_streams_no_rows(monkeypatch) -> None:
+    calls: list[int] = []
+    rows = triangle._rows
+
+    def counting(max_n):
+        calls.append(max_n)
+        return rows(max_n)
+
+    monkeypatch.setattr(triangle, "_rows", counting)
+    methods._oracle_diagonals.cache_clear()
+    first = diagonal_values("oracle", 4, 30)
+    first[5] += 1  # the caller's list is its own
+    assert diagonal_values("oracle", 4, 30) == [_z_comb(n, 4) for n in range(31)]
+    assert calls == [30]
 
 
 def test_first_mismatch_runs_each_route_once(monkeypatch) -> None:

@@ -270,5 +270,3 @@ def test_fourier_decomposition_check_catches_a_wrong_coefficient(monkeypatch) ->
 def test_fourier_decomposition_domain() -> None:
     with pytest.raises(ValueError):
         fourier_decomposition_check(21)
-    with pytest.raises(ValueError):
-        fourier_decomposition_check(5, grid_points=1)

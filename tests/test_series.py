@@ -114,9 +114,23 @@ def test_sqrt_requires_unit_constant() -> None:
 
 
 def test_sqrt_without_integer_root_raises() -> None:
-    # sqrt(1 + x) = 1 + x/2 - ...: the Newton halving meets an odd value
+    # sqrt(1 + x) = 1 + x/2 - ...: the halving for x^1 meets an odd value
     with pytest.raises(ExactnessError):
         polynomial([1, 1], 8).sqrt()
+
+
+def test_sqrt_takes_one_exact_halving_per_coefficient(monkeypatch) -> None:
+    halvings: list[tuple[int, int]] = []
+    div_exact = series.div_exact
+
+    def counting(a: int, b: int) -> int:
+        halvings.append((a, b))
+        return div_exact(a, b)
+
+    monkeypatch.setattr(series, "div_exact", counting)
+    polynomial([1, -2, -3], 40).sqrt()
+    assert len(halvings) == 40
+    assert {b for _, b in halvings} == {2}
 
 
 def test_sqrt_of_a_square() -> None:

@@ -48,3 +48,13 @@ def test_cli_has_one_output_path() -> None:
     ]
     assert calls.count("json.dumps") == 1
     assert calls.count("csv.writer") == 1
+
+
+def test_differences_reads_no_binomials() -> None:
+    """The Delta-expansion coefficients come from their own exact ratio, not from char."""
+    tree = ast.parse((PACKAGE / "differences.py").read_text(encoding="utf-8"))
+    imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    names = [getattr(node, "module", None) or "" for node in imports]
+    names += [alias.name for node in imports for alias in node.names]
+    assert "exact" in names
+    assert not [name for name in names if "binomial" in name]
