@@ -20,7 +20,7 @@ __all__ = [
 ]
 
 
-# Room for every distinct entry of one 0 <= lam <= n <= 300 table (22801).
+# Bounded, with room to spare: a sum table seeds each column from one char.
 @lru_cache(maxsize=1 << 15)
 def _char_in_range(n: int, lam: int) -> int:
     # Multiplicative formula; div_exact asserts the classic fact that the

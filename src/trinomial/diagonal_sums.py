@@ -8,13 +8,13 @@ Three different reindexings of the same double sum are implemented
 separately on purpose: they disagree the moment any one of them is wrong,
 which is the whole point of keeping them independent.  Each returns whole
 diagonals over a range of lam, one multiply-add over a slice of n per
-summation index, and reads its binomials from one table of columns per
-max_n.  Column c holds C(m, c) over one contiguous run of m: the run's
-first entry comes from char, every other from one exact step from its
-neighbour, so a table costs one char per column run and only the runs
-some form reads are built.  A fourth route multiplies each term into the next
-by a rational ratio instead of evaluating binomials from scratch; every
-such step is an exact integer division.
+summation index, and reads its binomials from one table of columns, kept
+for the latest max_n only.  Column c holds C(m, c) over one contiguous
+run of m: the run's first entry comes from char, every other from one
+exact step from its neighbour, so a table costs one char per column run
+and only the runs some form reads are built.  A fourth route multiplies
+each term into the next by a rational ratio instead of evaluating
+binomials from scratch; every such step is an exact integer division.
 """
 
 from __future__ import annotations
@@ -74,9 +74,9 @@ class _Table(dict):
         return values[lo - first : hi + 1 - first]
 
 
-@lru_cache(maxsize=4)
+@lru_cache(maxsize=1)
 def _char_table(max_n: int) -> _Table:
-    # one table per max_n, shared by the three forms
+    # the latest max_n's table only: the three forms share it within one call
     return _Table()
 
 

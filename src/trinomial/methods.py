@@ -5,6 +5,9 @@ in the range lams, in one pass over the range.  Having one registry keeps
 the cross-checking honest: the CLI, the benchmark, and the consistency
 tests all draw from the same table, so no route can quietly drop out of
 the comparison.  No route takes another route's output.
+
+Only diagonal_values keeps results between calls, in one bounded cache;
+first_mismatch bypasses it, so each comparison is a cold run of each route.
 """
 
 from __future__ import annotations
@@ -24,29 +27,19 @@ __all__ = [
 Route = Callable[[range, int], list[list[int]]]
 
 
-@lru_cache(maxsize=4)
-def _central_base(max_n: int) -> tuple[int, ...]:
-    return recurrences.central_sequence(max_n)
-
-
-@lru_cache(maxsize=4)
-def _oracle_diagonals(lams: range, max_n: int) -> tuple[tuple[int, ...], ...]:
+def _by_oracle(lams: range, max_n: int) -> list[list[int]]:
     # row n holds z(n, lam) at index n + lam for lam <= n; past that, 0.
     # Rows are streamed, so only the requested diagonals are ever kept.
     diagonals = [[0] * min(lam, max_n + 1) for lam in lams]
     for n, row in enumerate(triangle._rows(max_n)):
         for diagonal, value in zip(diagonals, row[n + lams.start : n + lams.stop]):
             diagonal.append(value)
-    return tuple(map(tuple, diagonals))
+    return diagonals
 
 
-def _by_oracle(lams: range, max_n: int) -> list[list[int]]:
-    return [list(diagonal) for diagonal in _oracle_diagonals(lams, max_n)]
-
-
-def _by_sum(form: Route) -> Route:
-    # a closure over a public diagonal_sums form, not the form itself: perfbench's
-    # tracer and its tests reach the form through this cell
+def _by_form(form: Route) -> Route:
+    # a closure over a public route function, not the function itself: perfbench's
+    # tracer and its tests reach the function through this cell
     def values(lams: range, max_n: int) -> list[list[int]]:
         return form(lams, max_n)
 
@@ -62,7 +55,7 @@ def _by_delta(lams: range, max_n: int) -> list[list[int]]:
     # column, so lam = 0 is the central column itself.  Past it, all is 0.
     if lams[0] > max_n:
         return [[0] * (max_n + 1) for _ in lams]
-    base = _central_base(max_n + lams[-1])
+    base = recurrences.central_sequence(max_n + lams[-1])
     table = differences.build_difference_table(base, lams[-1])
     return [
         differences.z_from_differences(table, lam, max_n) if lam else list(base[: max_n + 1])
@@ -70,36 +63,15 @@ def _by_delta(lams: range, max_n: int) -> list[list[int]]:
     ]
 
 
-def _by_series(lams: range, max_n: int) -> list[list[int]]:
-    # Z[lam] = x^(2 lam) P M^lam with M = nu / x^2, so z(n, lam) is the
-    # coefficient of x^(n - lam) in P M^lam and diagonal lam needs order
-    # max_n - lam only.  The first diagonal's root serves the whole range;
-    # each further diagonal is one more factor of M at one order less.
-    rows = []
-    q = None
-    for lam in lams:
-        depth = max_n - lam
-        if depth < 0:
-            rows.append([0] * (max_n + 1))
-            continue
-        if q is None:
-            q = series.PowerSeries(series.gf_Z(lam, max_n + lam).coeffs[2 * lam :])
-            m = series.gf_M(depth)
-        else:
-            q = q.truncate(depth) * m.truncate(depth)
-        rows.append([0] * lam + list(q.coeffs))
-    return rows
-
-
 _METHODS: dict[str, Route] = {
     "oracle": _by_oracle,
-    "sum1": _by_sum(diagonal_sums.z_sum_form1),
-    "sum2": _by_sum(diagonal_sums.z_sum_form2),
-    "sum3": _by_sum(diagonal_sums.z_sum_form3),
-    "ratio": _by_sum(diagonal_sums.z_ratio_diagonals),
+    "sum1": _by_form(diagonal_sums.z_sum_form1),
+    "sum2": _by_form(diagonal_sums.z_sum_form2),
+    "sum3": _by_form(diagonal_sums.z_sum_form3),
+    "ratio": _by_form(diagonal_sums.z_ratio_diagonals),
     "recurrence": _by_recurrence,
     "delta": _by_delta,
-    "series": _by_series,
+    "series": _by_form(series.z_series_diagonals),
 }
 
 METHOD_NAMES: tuple[str, ...] = tuple(_METHODS)
@@ -111,14 +83,19 @@ def _check_methods(names: list[str]) -> None:
             raise ValueError(f"unknown method {name!r}; choose from {METHOD_NAMES}")
 
 
+@lru_cache(maxsize=16)
+def _diagonal(method: str, lam: int, max_n: int) -> tuple[int, ...]:
+    return tuple(_METHODS[method](range(lam, lam + 1), max_n)[0])
+
+
 def diagonal_values(method: str, lam: int, max_n: int) -> list[int]:
-    """z(0..max_n, lam) computed by the named method."""
+    """z(0..max_n, lam) computed by the named method, as a new list."""
     _check_methods([method])
     if lam < 0:
         raise ValueError(f"lam must be >= 0, got {lam}")
     if max_n < 0:
         raise ValueError(f"max_n must be >= 0, got {max_n}")
-    return _METHODS[method](range(lam, lam + 1), max_n)[0]
+    return list(_diagonal(method, lam, max_n))
 
 
 def central_values(method: str, max_n: int) -> list[int]:

@@ -13,13 +13,15 @@ The generating functions:
     Z[lam] = P * nu^lam                          diagonal lam, offset by lam
 
 so the coefficient of x^(n+lam) in Z[lam] is z(n, lam).  M is the
-Motzkin series, so Z[lam] is x^(2 lam) P M^lam and is worked out at
-order - 2 lam.  The square root is worked out one coefficient at a time
-from s^2 = a, with one exact halving each, and certified by squaring back.
+Motzkin series, so z(n, lam) is [x^(n - lam)] P M^lam: the series route
+z_series_diagonals, of which gf_Z is one diagonal shifted by lam.  The
+square root is worked out one coefficient at a time from s^2 = a, with
+one exact halving each, and certified by squaring back.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -33,8 +35,8 @@ __all__ = [
     "polynomial",
     "gf_P",
     "gf_nu",
-    "gf_M",
     "gf_Z",
+    "z_series_diagonals",
     "b_substitution_check",
 ]
 
@@ -215,49 +217,64 @@ def polynomial(coeffs: Sequence[int], order: int) -> PowerSeries:
 # the generating functions themselves
 
 
-@lru_cache(maxsize=8)
-def _root(order: int) -> PowerSeries:
-    """sqrt(1 - 2x - 3x^2), shared by P and nu."""
-    # slicing keeps degenerate truncation orders 0 and 1 legal
-    return polynomial([1, -2, -3][: order + 1], order).sqrt()
-
-
-@lru_cache(maxsize=8)
-def gf_P(order: int) -> PowerSeries:
-    """P = 1 / sqrt(1 - 2x - 3x^2); coefficient of x^n is p(n)."""
-    return polynomial([1], order) / _root(order)
-
-
-@lru_cache(maxsize=8)
-def gf_nu(order: int) -> PowerSeries:
-    """nu = (1 - x - sqrt(1 - 2x - 3x^2)) / 2; starts at x^2."""
-    nu = (polynomial([1, -1][: order + 1], order) - _root(order)) / 2
+def _root_and_nu(order: int) -> tuple[PowerSeries, PowerSeries]:
+    """sqrt(1 - 2x - 3x^2) and nu from it; the slices keep orders 0 and 1 legal."""
+    root = polynomial([1, -2, -3][: order + 1], order).sqrt()
+    nu = (polynomial([1, -1][: order + 1], order) - root) / 2
     if any(nu.coeffs[:2]):
         raise ExactnessError(f"nu does not start at x^2: {nu}")
-    return nu
+    return root, nu
 
 
-def gf_M(order: int) -> PowerSeries:
-    """M = nu / x^2, the Motzkin series, from the root at order + 2."""
-    return PowerSeries(gf_nu(order + 2).coeffs[2:])
+def gf_P(order: int) -> PowerSeries:
+    """P = 1 / sqrt(1 - 2x - 3x^2); coefficient of x^n is p(n)."""
+    return polynomial([1], order) / _root_and_nu(order)[0]
+
+
+def gf_nu(order: int) -> PowerSeries:
+    """nu = (1 - x - sqrt(1 - 2x - 3x^2)) / 2; starts at x^2."""
+    return _root_and_nu(order)[1]
+
+
+def z_series_diagonals(lams: range, max_n: int) -> list[list[int]]:
+    """z(0..max_n, lam) for each lam in lams, as [x^(n - lam)] P M^lam.
+
+    The first diagonal at or below max_n takes P and M to order max_n - lam
+    from one root and raises M to the power lam; each further diagonal is
+    one more factor of M at one order less.  Past max_n, all is 0.
+    """
+    if max_n < 0 or lams.start < 0:
+        raise ValueError(f"need max_n >= 0 and lam >= 0, got {max_n} and {lams.start}")
+    rows = []
+    q = None
+    for lam in lams:
+        depth = max_n - lam
+        if depth < 0:
+            rows.append([0] * (max_n + 1))
+            continue
+        if q is None:  # P and M = nu / x^2 to x^depth, from one root
+            root, nu = _root_and_nu(depth + 2)
+            m = PowerSeries(nu.coeffs[2:])
+            q = m**lam * (polynomial([1], depth) / root.truncate(depth))
+        else:
+            q = q.truncate(depth) * m.truncate(depth)
+        rows.append([0] * lam + list(q.coeffs))
+    return rows
 
 
 @lru_cache(maxsize=16)
 def gf_Z(lam: int, order: int) -> PowerSeries:
     """Z[lam] = P * nu^lam; coefficient of x^(n+lam) is z(n, lam).
 
-    nu = x^2 M, with M the Motzkin series, so Z[lam] = x^(2 lam) P M^lam
-    and only order - 2 lam coefficients of P M^lam are needed.  P and M
-    both come from the one square root at order order - 2 lam + 2; when
-    2 lam > order no root is taken at all.
+    The series route's diagonal lam to n = order - lam, shifted by lam: one
+    root at order - 2 lam + 2, and none when 2 lam > order.
     """
     if lam < 0:
         raise ValueError(f"lam must be >= 0, got {lam}")
-    depth = order - 2 * lam
-    if depth < 0:
+    if lam > order:
         return polynomial([], order)
-    p = gf_P(depth + 2).truncate(depth)
-    return PowerSeries((0,) * (2 * lam) + (gf_M(depth) ** lam * p).coeffs)
+    (diagonal,) = z_series_diagonals(range(lam, lam + 1), order - lam)
+    return PowerSeries((0,) * lam + tuple(diagonal))
 
 
 def b_substitution_check(b: Union[Fraction, int]) -> tuple[Fraction, Fraction]:
@@ -267,12 +284,14 @@ def b_substitution_check(b: Union[Fraction, int]) -> tuple[Fraction, Fraction]:
 
       * sqrt(1 - 2x - 3x^2) = (1 - b^2) / (1 + b + b^2), verified by
         squaring (exact);
-      * nu(x) = b * x, verified by evaluating the truncated nu series at x
-        and bounding the dropped tail geometrically (nu's coefficients are
-        below 3^k, so the tail after x^N is at most (3x)^(N+1) / (3(1-3x))),
-        with N = 160 and a gap beyond that tail tolerated up to 1e-9.
+      * nu(x) = b * x, verified by evaluating nu truncated after x^N at x.
+        nu's coefficients are below 3^k, so the tail is at most
+        (3x)^(N+1) / (3(1 - 3x)); N is the least order bringing that to
+        1e-9; a gap past the tail bound plus 1e-9 raises ExactnessError.
 
-    Returns (x, radical) as exact rationals.
+    N grows without limit as b -> 1: 56 at b = 1/3, 1435 at b = 4/5.  The
+    domain is N <= 1500, about 0 < b <= 0.8037; past it ValueError is
+    raised before any series is built.  Returns (x, radical) exactly.
     """
     b = Fraction(b)
     if not 0 < b < 1:
@@ -281,12 +300,16 @@ def b_substitution_check(b: Union[Fraction, int]) -> tuple[Fraction, Fraction]:
     radical = (1 - b * b) / (1 + b + b * b)
     if radical * radical != 1 - 2 * x - 3 * x * x:
         raise ExactnessError(f"radical identity failed at b={b}")
-    order, tol = 160, 1e-9
-    nu_at_x = gf_nu(order).evaluate(x)
-    tail = (3 * x) ** (order + 1) / (3 * (1 - 3 * x))
-    gap = abs(nu_at_x - b * x)
-    if gap > tail and float(gap) > tol:
-        raise ExactnessError(
-            f"nu({x}) differs from b*x by {float(gap):.3e} at order {order}"
-        )
+    q, tol, budget = 3 * x, Fraction(1, 10**9), 1500
+    # least N with q^(N+1) <= 3(1 - q) tol, in logs of ints: a tiny q underflows a float
+    bound = 3 * (1 - q) * tol
+    log_q = math.log(q.numerator) - math.log(q.denominator)
+    log_bound = math.log(bound.numerator) - math.log(bound.denominator)
+    order = max(0, math.ceil(log_bound / log_q) - 1) if log_q < 0 else budget + 1
+    if order > budget:
+        raise ValueError(f"b = {b} needs nu past order {budget}, the budget")
+    tail = q ** (order + 1) / (3 * (1 - q))
+    gap = abs(gf_nu(order).evaluate(x) - b * x)
+    if gap > tail + tol:
+        raise ExactnessError(f"nu({x}) differs from b*x by {float(gap):.3e} at order {order}")
     return x, radical

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from trinomial import binomial, diagonal_sums
+from trinomial import diagonal_sums
 from trinomial.binomial import char
 from trinomial.diagonal_sums import (
     central_p_factor_series,
@@ -64,7 +64,7 @@ def test_negative_indices_rejected(form) -> None:
 
 @pytest.fixture
 def char_calls(monkeypatch) -> list[tuple[int, int]]:
-    """Every char call the sum forms make from here on, binomial caches cold."""
+    """Every char call the sum forms make from here on, every cache cold."""
     calls: list[tuple[int, int]] = []
 
     def counting(n: int, lam: int) -> int:
@@ -72,8 +72,6 @@ def char_calls(monkeypatch) -> list[tuple[int, int]]:
         return char(n, lam)
 
     monkeypatch.setattr(diagonal_sums, "char", counting)
-    diagonal_sums._char_table.cache_clear()
-    binomial._char_in_range.cache_clear()
     return calls
 
 

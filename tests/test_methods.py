@@ -87,8 +87,6 @@ def test_delta_past_the_diagonal_builds_no_table(monkeypatch) -> None:
 
 
 def test_cold_delta_route_looks_up_no_binomial() -> None:
-    methods._central_base.cache_clear()
-    binomial._char_in_range.cache_clear()
     assert first_mismatch(40, ["delta"]) is None
     info = binomial._char_in_range.cache_info()
     assert info.hits + info.misses == 0
@@ -99,13 +97,11 @@ def test_oracle_streams_rows_and_builds_no_triangle(monkeypatch) -> None:
         raise AssertionError("triangle built")
 
     monkeypatch.setattr(triangle, "build_triangle", refuse)
-    methods._oracle_diagonals.cache_clear()
     assert first_mismatch(12) is None
     assert diagonal_values("oracle", 2, 12) == [_z_comb(n, 2) for n in range(13)]
 
 
 def test_one_cold_oracle_diagonal_keeps_no_triangle() -> None:
-    methods._oracle_diagonals.cache_clear()
     tracemalloc.start()
     try:
         values = diagonal_values("oracle", 3, 1000)
@@ -116,20 +112,36 @@ def test_one_cold_oracle_diagonal_keeps_no_triangle() -> None:
     assert peak < 5 * 2**20
 
 
-def test_a_repeated_oracle_request_streams_no_rows(monkeypatch) -> None:
-    calls: list[int] = []
-    rows = triangle._rows
+@pytest.mark.parametrize("method", METHOD_NAMES)
+def test_a_repeated_request_runs_its_route_once(monkeypatch, method: str) -> None:
+    calls: list[tuple[range, int]] = []
+    route = methods._METHODS[method]
 
-    def counting(max_n):
-        calls.append(max_n)
-        return rows(max_n)
+    def counting(lams, max_n):
+        calls.append((lams, max_n))
+        return route(lams, max_n)
 
-    monkeypatch.setattr(triangle, "_rows", counting)
-    methods._oracle_diagonals.cache_clear()
-    first = diagonal_values("oracle", 4, 30)
+    monkeypatch.setitem(methods._METHODS, method, counting)
+    first = diagonal_values(method, 4, 30)
     first[5] += 1  # the caller's list is its own
-    assert diagonal_values("oracle", 4, 30) == [_z_comb(n, 4) for n in range(31)]
-    assert calls == [30]
+    assert diagonal_values(method, 4, 30) == [_z_comb(n, 4) for n in range(31)]
+    assert central_values(method, 30) == central_values(method, 30) == [_z_comb(n, 0) for n in range(31)]
+    assert calls == [(range(4, 5), 30), (range(0, 1), 30)]
+
+
+def test_cold_sum_routes_keep_at_most_one_table() -> None:
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        central_values("sum1", 300)
+        one_table = tracemalloc.get_traced_memory()[0] - start
+        central_values("sum1", 290)
+        central_values("sum2", 280)
+        held = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert one_table > 2**20  # the max_n = 300 table: most of what the first call keeps
+    assert held <= 1.05 * one_table
 
 
 def test_first_mismatch_runs_each_route_once(monkeypatch) -> None:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import inspect
 import sys
 from fractions import Fraction
@@ -12,11 +13,11 @@ from trinomial.recurrences import central_sequence
 from trinomial.series import (
     PowerSeries,
     b_substitution_check,
-    gf_M,
     gf_P,
     gf_Z,
     gf_nu,
     polynomial,
+    z_series_diagonals,
 )
 from trinomial.triangle import build_triangle
 
@@ -152,10 +153,18 @@ def test_gf_nu_prefix() -> None:
     assert nu.coeffs == (0, 0, 1, 1, 2, 4, 9, 21, 51, 127)
 
 
-def test_gf_M_is_the_motzkin_series_from_one_root(root_orders) -> None:
-    assert gf_M(9).coeffs == (1, 1, 2, 4, 9, 21, 51, 127, 323, 835)
-    assert gf_M(0).coeffs == (1,)
-    assert root_orders == [11, 2]
+def test_z_series_diagonals_step_by_the_motzkin_series_from_one_root(root_orders) -> None:
+    # row lam from n = lam on is P M^lam, so each row is the one before times M
+    motzkin = (1, 1, 2, 4, 9, 21, 51, 127, 323, 835, 2188)
+    rows = z_series_diagonals(range(3, 6), 14)
+    for lam, (q, q_next) in enumerate(zip(rows, rows[1:]), 3):
+        depth = 14 - lam - 1
+        step = PowerSeries(tuple(q[lam : lam + depth + 1])) * PowerSeries(motzkin[: depth + 1])
+        assert step.coeffs == tuple(q_next[lam + 1 :])
+    assert rows[0] == [0, 0, 0] + [build_triangle(14).coeff(n, n + 3) for n in range(3, 15)]
+    assert root_orders == [13]
+    assert z_series_diagonals(range(0, 2), 0) == [[1], [0]]
+    assert root_orders == [13, 2]
 
 
 def test_nu_functional_equation_order_60() -> None:
@@ -188,12 +197,6 @@ def test_gf_Z_does_not_recurse_per_lambda() -> None:
         sys.setrecursionlimit(limit)
 
 
-def test_gf_P_and_gf_nu_share_one_square_root(root_orders) -> None:
-    gf_P(40)
-    gf_nu(40)
-    assert root_orders == [40]
-
-
 def test_gf_Z_takes_one_root_at_order_minus_2_lam_plus_2(root_orders) -> None:
     assert gf_Z(1200, 1205) == polynomial([], 1205)
     assert gf_Z(5, 9) == polynomial([], 9)
@@ -212,18 +215,6 @@ def test_truncate() -> None:
     for bad in (-1, 5):
         with pytest.raises(ValueError):
             ps.truncate(bad)
-
-
-def test_series_caches_are_bounded() -> None:
-    for order in range(40):
-        gf_P(order)
-        gf_nu(order)
-    for lam in range(40):
-        gf_Z(lam, 60)
-    for cached in (series._root, gf_P, gf_nu, gf_Z):
-        info = cached.cache_info()
-        assert info.maxsize is not None
-        assert info.currsize == info.maxsize, cached
 
 
 def test_gf_Z_rejects_negative_lambda() -> None:
@@ -264,6 +255,36 @@ def test_b_substitution_domain() -> None:
     for bad in (Fraction(0), Fraction(1), Fraction(3, 2), Fraction(-1, 2)):
         with pytest.raises(ValueError):
             b_substitution_check(bad)
+
+
+def test_b_substitution_catches_a_wrong_nu_coefficient_at_every_accepted_b(monkeypatch) -> None:
+    nu = functools.cache(series.gf_nu)  # each root once for both passes
+
+    def wrong(order: int) -> PowerSeries:
+        coeffs = list(nu(order).coeffs)
+        coeffs[5] += 1000
+        return PowerSeries(tuple(coeffs))
+
+    # 1/100 and 4/5 bracket the domain; the old order-160 tail bound let 9/10 and 99/100 pass
+    accepted = [Fraction(1, 100), Fraction(1, 5), Fraction(1, 3), Fraction(1, 2), Fraction(3, 4)]
+    accepted.append(Fraction(4, 5))  # order 1435, next to the budget of 1500
+    monkeypatch.setattr(series, "gf_nu", nu)
+    for b in accepted:
+        b_substitution_check(b)
+    monkeypatch.setattr(series, "gf_nu", wrong)
+    for b in accepted:
+        with pytest.raises(ExactnessError):
+            b_substitution_check(b)
+
+
+def test_b_substitution_past_its_order_budget_raises_before_any_series(root_orders) -> None:
+    for b in (Fraction(5, 6), Fraction(9, 10), Fraction(99, 100), Fraction(10**30 - 1, 10**30)):
+        with pytest.raises(ValueError, match="past order 1500"):
+            b_substitution_check(b)
+    assert root_orders == []
+    b_substitution_check(Fraction(1, 2))
+    b_substitution_check(Fraction(1, 3))
+    assert root_orders == [139, 56]
 
 
 def test_str_rendering() -> None:

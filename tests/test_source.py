@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 import trinomial
+import trinomial.cli  # noqa: F401  (every module loaded, so every cache is found)
 
 PACKAGE = Path(trinomial.__file__).resolve().parent
 
@@ -58,3 +59,16 @@ def test_differences_reads_no_binomials() -> None:
     names += [alias.name for node in imports for alias in node.names]
     assert "exact" in names
     assert not [name for name in names if "binomial" in name]
+
+
+def test_the_package_keeps_four_bounded_caches(cold_caches) -> None:
+    """Results are cached at the entry points that repeated requests call
+    (diagonal_values, gf_Z), plus the sums' table shared inside one call and
+    the binomials; every layer below keeps nothing once it returns."""
+    assert sorted(cold_caches) == [
+        "trinomial.binomial._char_in_range",
+        "trinomial.diagonal_sums._char_table",
+        "trinomial.methods._diagonal",
+        "trinomial.series.gf_Z",
+    ]
+    assert all(cache.cache_info().maxsize is not None for cache in cold_caches.values())
