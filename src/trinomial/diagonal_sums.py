@@ -10,9 +10,13 @@ which is the whole point of keeping them independent.  Each returns whole
 diagonals over a range of lam, one multiply-add over a slice of n per
 summation index, and reads its binomials from one table of columns, kept
 for the latest max_n only.  Column c holds C(m, c) over one contiguous
-run of m: the run's first entry comes from char, every other from one
-exact step from its neighbour, so a table costs one char per column run
-and only the runs some form reads are built.  A fourth route multiplies
+run of m.  A call for more than one diagonal fills the whole table in one
+pass over its rows, each row one batched exact step from the one before
+and the diagonal entry C(m, m) from char, and slices whole columns.  One
+diagonal reads a few entries per n, so it grows runs lazily instead: a
+run's first entry comes from char, every other from one exact step from
+its neighbour, and only the entries some form reads are built.  Either
+way a table costs one char per column run.  A fourth route multiplies
 each term into the next by a rational ratio instead of evaluating
 binomials from scratch; every such step is an exact integer division.
 """
@@ -22,10 +26,10 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import repeat
 from operator import add, mul
-from typing import Callable, Iterable
+from typing import Callable, Optional
 
 from .binomial import char
-from .exact import div_exact
+from .exact import div_exact, div_exact_each
 
 __all__ = [
     "z_sum_form1",
@@ -57,6 +61,8 @@ def _column_steps(c: int, m: int, value: int, count: int, step: int) -> list[int
 class _Table(dict):
     """Column c -> [first m, [C(first m, c), C(first m + 1, c), ...]]."""
 
+    whole: Optional[list[list[int]]] = None
+
     def run(self, c: int, lo: int, hi: int) -> list[int]:
         """C(lo..hi, c) for c <= lo, growing column c's run to cover them."""
         if lo > hi:
@@ -73,6 +79,20 @@ class _Table(dict):
             values += _column_steps(c, last, values[-1], hi - last, 1)
         return values[lo - first : hi + 1 - first]
 
+    def columns(self, max_n: int) -> list[list[int]]:
+        """C(c..max_n, c) for every c <= max_n, filled row by row on first use."""
+        if self.whole is None:
+            rows = [[char(0, 0)]]
+            for m in range(1, max_n + 1):
+                # C(m, c) = C(m - 1, c) m / (m - c) for c < m, one batched check;
+                # C(m, m) seeds column m
+                steps = div_exact_each([value * m for value in rows[-1]], range(m, 0, -1))
+                rows.append(steps + [char(m, m)])
+            self.whole = [[row[c] for row in rows[c:]] for c in range(max_n + 1)]
+            self.clear()
+            self.update((c, [c, column]) for c, column in enumerate(self.whole))
+        return self.whole
+
 
 @lru_cache(maxsize=1)
 def _char_table(max_n: int) -> _Table:
@@ -80,16 +100,28 @@ def _char_table(max_n: int) -> _Table:
     return _Table()
 
 
-def _diagonals(kernel: Callable[[int, int], list[int]], lams: range, max_n: int) -> list[list[int]]:
+Run = Callable[[int, int, int], list[int]]
+
+
+def _diagonals(kernel: Callable[[int, int, Run], list[int]], lams: range, max_n: int) -> list[list[int]]:
     _check_indices(max_n, min(lams, default=0))
-    return [kernel(lam, max_n) for lam in lams]
+    table = _char_table(max_n)
+    if len(lams) > 1:
+        whole = table.columns(max_n)
+
+        def run(c: int, lo: int, hi: int) -> list[int]:
+            return whole[c][lo - c : hi + 1 - c]
+
+    else:  # one diagonal reads a few entries per n: only those are built
+        run = table.run
+    return [kernel(lam, max_n, run) for lam in lams]
 
 
-# Each sum kernel adds a summation index into acc[start:] = z(start..max_n, lam) with one
-# map over the slice.  The factors' runs span that slice exactly, and the run at the
-# lower m is asked for first, so a new column is seeded where char is cheapest.
-def _form1(lam: int, max_n: int) -> list[int]:
-    run = _char_table(max_n).run
+# Each kernel reads run(c, lo, hi) = C(lo..hi, c), and adds a summation index into
+# acc[start:] = z(start..max_n, lam) with one map over the slice.  The factors span
+# that slice exactly, and the one at the lower m is read first, so a lazy column is
+# seeded where char is cheapest.
+def _form1(lam: int, max_n: int, run: Run) -> list[int]:
     acc = [0] * (max_n + 1)
     for a in range((max_n - lam) // 2 + 1):  # until lam + 2a > max_n
         start = lam + 2 * a
@@ -108,8 +140,7 @@ def z_sum_form1(lams: range, max_n: int) -> list[list[int]]:
     return _diagonals(_form1, lams, max_n)
 
 
-def _form2(lam: int, max_n: int) -> list[int]:
-    run = _char_table(max_n).run
+def _form2(lam: int, max_n: int, run: Run) -> list[int]:
     acc = [0] * (max_n + 1)
     for j in range(lam, max_n + 1):  # j = lam + k, until j > max_n
         k = j - lam
@@ -130,8 +161,7 @@ def z_sum_form2(lams: range, max_n: int) -> list[list[int]]:
     return _diagonals(_form2, lams, max_n)
 
 
-def _form3(lam: int, max_n: int) -> list[int]:
-    run = _char_table(max_n).run
+def _form3(lam: int, max_n: int, run: Run) -> list[int]:
     acc = [0] * (max_n + 1)
     for j in range(lam, max_n + 1, 2):  # j = lam + 2k, until j > max_n
         k = (j - lam) // 2
@@ -149,10 +179,10 @@ def z_sum_form3(lams: range, max_n: int) -> list[list[int]]:
     return _diagonals(_form3, lams, max_n)
 
 
-def _ratio_step(terms: Iterable[int], first_u: int, lam: int, a: int) -> list[int]:
-    # term a + 1 of z(n, lam) from term a, for terms at u = n - 2a - lam = first_u, first_u + 1, ...
+def _ratio_step(numerators: list[int], lam: int, a: int) -> list[int]:
+    # term a + 1 of z(n, lam) from term a times u(u - 1), u = n - 2a - lam
     d = (a + 1) * (lam + a + 1)
-    return [div_exact(t * u * (u - 1), d) for u, t in enumerate(terms, first_u)]
+    return div_exact_each(numerators, [d] * len(numerators))
 
 
 def z_term_ratio(n: int, lam: int) -> tuple[int, list[int]]:
@@ -170,27 +200,28 @@ def z_term_ratio(n: int, lam: int) -> tuple[int, list[int]]:
     _check_indices(n, lam)
     terms = [char(n, lam)] if lam <= n else []
     for a in range((n - lam) // 2):
-        terms += _ratio_step(terms[-1:], n - 2 * a - lam, lam, a)
+        u = n - 2 * a - lam
+        terms += _ratio_step([terms[-1] * u * (u - 1)], lam, a)
     return sum(terms), terms
 
 
-def _ratio_diagonal(lam: int, max_n: int) -> list[int]:
+def _ratio_diagonal(lam: int, max_n: int, run: Run) -> list[int]:
     if lam > max_n:
         return [0] * (max_n + 1)
-    # first terms C(n, lam) for n = lam..max_n, down the column from one seed
-    seed = char(lam, lam)
-    terms = [seed, *_column_steps(lam, lam, seed, max_n - lam, 1)]
+    terms = run(lam, lam, max_n)  # the first terms C(n, lam), n = lam..max_n
     totals = [0] * lam + terms
+    pronic = [u * (u - 1) for u in range(2, max_n - lam + 1)]
     for a in range((max_n - lam) // 2):
         # term a + 1 is alive for n >= lam + 2a + 2 (u >= 2), the tail of term a's span
-        terms = _ratio_step(terms[2:], 2, lam, a)
+        terms = _ratio_step(list(map(mul, terms[2:], pronic)), lam, a)
         totals[lam + 2 * a + 2 :] = map(add, totals[lam + 2 * a + 2 :], terms)
     return totals
 
 
 def z_ratio_diagonals(lams: range, max_n: int) -> list[list[int]]:
     """z(0..max_n, lam) for each lam in lams by the term ratio of
-    z_term_ratio, each step taken for every n still alive at once."""
+    z_term_ratio, each step taken for every n still alive at once, its first
+    terms read from the sums' table of binomial columns."""
     return _diagonals(_ratio_diagonal, lams, max_n)
 
 

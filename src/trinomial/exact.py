@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from operator import floordiv, mod
+from typing import Sequence
 
-__all__ = ["ExactnessError", "div_exact", "parse_rational"]
+__all__ = ["ExactnessError", "div_exact", "div_exact_each", "parse_rational"]
 
 _RATIONAL_RE = re.compile(r"([+-]?[0-9]+)(?:/([+-]?[0-9]+))?\Z")
 
@@ -39,6 +41,22 @@ def div_exact(a: int, b: int) -> int:
     if r != 0:
         raise ExactnessError(f"{a} is not divisible by {b}")
     return q
+
+
+def div_exact_each(values: Sequence[int], divisors: Sequence[int]) -> list[int]:
+    """[a // b for each pair], raising unless every b divides its a.
+
+    One batched pass for a whole row of exact steps, every value still
+    checked.  Raises ZeroDivisionError for a zero divisor, ExactnessError
+    naming the first value that leaves a remainder, and ValueError for
+    unequal lengths.
+    """
+    if len(values) != len(divisors):
+        raise ValueError(f"{len(values)} values but {len(divisors)} divisors")
+    if any(map(mod, values, divisors)):
+        a, b = next((a, b) for a, b in zip(values, divisors) if a % b)
+        raise ExactnessError(f"{a} is not divisible by {b}")
+    return list(map(floordiv, values, divisors))
 
 
 def parse_rational(text: str) -> Fraction:

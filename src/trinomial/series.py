@@ -16,13 +16,14 @@ so the coefficient of x^(n+lam) in Z[lam] is z(n, lam).  M is the
 Motzkin series, so z(n, lam) is [x^(n - lam)] P M^lam: the series route
 z_series_diagonals, of which gf_Z is one diagonal shifted by lam.  The
 square root is worked out one coefficient at a time from s^2 = a, with
-one exact halving each, and certified by squaring back.
+one exact halving each, and certified by squaring back.  P takes no
+division: 2 root root' = -2 - 6x, so P = 1/root = -root'/(1 + 3x), one
+coefficient at a time from the root's own.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
@@ -45,16 +46,11 @@ __all__ = [
 
 
 def _mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    order = len(a) - 1
-    out = [0] * (order + 1)
-    for i, ai in enumerate(a):
-        if not ai:
-            continue
-        for j in range(order + 1 - i):
-            bj = b[j]
-            if bj:
-                out[i + j] += ai * bj
-    return tuple(out)
+    # x^k of a * b to a's order: a_0 b_k + ... + a_k b_0 as one sum over a and b reversed;
+    # b may run past a's order
+    n = len(a)
+    reversed_b = b[n - 1 :: -1]
+    return tuple([sum(map(mul, a, reversed_b[n - 1 - k :])) for k in range(n)])
 
 
 def _div(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -74,18 +70,40 @@ def _div(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class PowerSeries:
-    """Formal power series truncated after x^order; coeffs[k] is for x^k."""
+    """Formal power series truncated after x^order; coeffs[k] is for x^k.
 
+    Immutable: two series are equal, and hash alike, when their
+    coefficient tuples are.
+    """
+
+    __slots__ = ("coeffs",)
     coeffs: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if len(self.coeffs) == 0:
+    def __init__(self, coeffs: tuple[int, ...]) -> None:
+        if len(coeffs) == 0:
             raise ValueError("a series needs at least the constant coefficient")
-        for c in self.coeffs:
+        for c in coeffs:
             if type(c) is not int:
                 raise TypeError(f"series coefficients must be int, got {c!r}")
+        object.__setattr__(self, "coeffs", coeffs)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"PowerSeries is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"PowerSeries is immutable; cannot delete {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not PowerSeries:
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash(self.coeffs)
+
+    def __repr__(self) -> str:
+        return f"PowerSeries(coeffs={self.coeffs!r})"
 
     @property
     def order(self) -> int:
@@ -226,9 +244,21 @@ def _root_and_nu(order: int) -> tuple[PowerSeries, PowerSeries]:
     return root, nu
 
 
+def _p_from_root(root: tuple[int, ...], order: int) -> tuple[int, ...]:
+    # 2 root root' = -2 - 6x, so P = 1 / root = -root' / (1 + 3x):
+    # P_k = -(k + 1) r_(k+1) - 3 P_(k-1), reading the root to x^(order + 1)
+    p, prev = [], 0
+    for k in range(order + 1):
+        prev = -(k + 1) * root[k + 1] - 3 * prev
+        p.append(prev)
+    return tuple(p)
+
+
 def gf_P(order: int) -> PowerSeries:
     """P = 1 / sqrt(1 - 2x - 3x^2); coefficient of x^n is p(n)."""
-    return polynomial([1], order) / _root_and_nu(order)[0]
+    if order < 0:
+        raise ValueError(f"order must be >= 0, got {order}")
+    return PowerSeries(_p_from_root(_root_and_nu(order + 1)[0].coeffs, order))
 
 
 def gf_nu(order: int) -> PowerSeries:
@@ -241,12 +271,13 @@ def z_series_diagonals(lams: range, max_n: int) -> list[list[int]]:
 
     The first diagonal at or below max_n takes P and M to order max_n - lam
     from one root and raises M to the power lam; each further diagonal is
-    one more factor of M at one order less.  Past max_n, all is 0.
+    one more factor of M at one order less, on the bare coefficients.
+    Past max_n, all is 0.
     """
     if max_n < 0 or lams.start < 0:
         raise ValueError(f"need max_n >= 0 and lam >= 0, got {max_n} and {lams.start}")
     rows = []
-    q = None
+    q = m = None
     for lam in lams:
         depth = max_n - lam
         if depth < 0:
@@ -254,11 +285,13 @@ def z_series_diagonals(lams: range, max_n: int) -> list[list[int]]:
             continue
         if q is None:  # P and M = nu / x^2 to x^depth, from one root
             root, nu = _root_and_nu(depth + 2)
-            m = PowerSeries(nu.coeffs[2:])
-            q = m**lam * (polynomial([1], depth) / root.truncate(depth))
+            m = nu.coeffs[2:]
+            q = _p_from_root(root.coeffs, depth)
+            if lam:
+                q = (PowerSeries(m) ** lam * PowerSeries(q)).coeffs
         else:
-            q = q.truncate(depth) * m.truncate(depth)
-        rows.append([0] * lam + list(q.coeffs))
+            q = _mul(q[: depth + 1], m)  # _mul reads m only to q's order
+        rows.append([0] * lam + list(q))
     return rows
 
 

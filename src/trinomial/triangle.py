@@ -10,16 +10,14 @@ entries, is palindromic, and sums to 3^n.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .exact import div_exact
 
 __all__ = ["TrinomialTriangle", "build_triangle", "row", "leading_term_check"]
 
 
-@dataclass(frozen=True)
-class TrinomialTriangle:
+class TrinomialTriangle(NamedTuple):
     """Rows 0..max_n of the coefficient triangle, built eagerly.
 
     Immutable once built, so instances can be shared freely between

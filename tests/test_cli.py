@@ -209,6 +209,22 @@ def test_row_and_quad_z_build_only_one_row(capsys, monkeypatch) -> None:
     assert json.loads(out)["exact"] == str(z_30_7)
 
 
+def test_identity_rejects_a_negative_lambda_max(capsys) -> None:
+    code, out, err = _run(capsys, "identity", "--b", "1/2", "--lambda-max", "-1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: --lambda-max must be >= 0, got -1\n"
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-Infinity", "NaN", "1e999", "tiny"])
+@pytest.mark.parametrize("verb", [("quad", "--kind", "gf", "--x", "1/4"), ("identity", "--b", "1/2")])
+def test_a_tolerance_that_is_no_finite_number_is_named_as_typed(capsys, verb, tol) -> None:
+    code, out, err = _run(capsys, *verb, f"--tol={tol}")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --tol must be a finite number, got {tol}\n"
+
+
 def test_identity_past_the_panel_budget_exits_three(capsys) -> None:
     code, _, err = _run(capsys, "identity", "--b", "999999999999/1000000000000")
     assert code == 3

@@ -14,7 +14,7 @@ from trinomial.diagonal_sums import (
     z_ratio_diagonals,
     z_term_ratio,
 )
-from trinomial.exact import div_exact
+from trinomial.exact import ExactnessError, div_exact, div_exact_each
 from trinomial.triangle import build_triangle
 
 P_KNOWN = [1, 1, 3, 7, 19, 51, 141, 393, 1107, 3139, 8953, 25653, 73789]
@@ -101,14 +101,20 @@ def _entries(max_n: int) -> int:
 
 @pytest.fixture
 def exact_steps(monkeypatch) -> list[tuple[int, int]]:
-    """Every div_exact call diagonal_sums makes from here on."""
+    """Every value diagonal_sums divides exactly from here on, one by one
+    through div_exact or a batch at a time through div_exact_each."""
     calls: list[tuple[int, int]] = []
 
     def counting(a: int, b: int) -> int:
         calls.append((a, b))
         return div_exact(a, b)
 
+    def counting_each(values: list[int], divisors: list[int]) -> list[int]:
+        calls.extend(zip(values, divisors))
+        return div_exact_each(values, divisors)
+
     monkeypatch.setattr(diagonal_sums, "div_exact", counting)
+    monkeypatch.setattr(diagonal_sums, "div_exact_each", counting_each)
     return calls
 
 
@@ -139,6 +145,53 @@ def test_table_grows_down_and_up_in_any_order(char_calls) -> None:
             assert form(range(lam, lam + 1), 40) == [[_z_comb(n, lam) for n in range(41)]]
     for c, (first, values) in diagonal_sums._char_table(40).items():
         assert values == [math.comb(m, c) for m in range(first, first + len(values))], c
+
+
+def test_range_calls_fill_the_table_by_rows_and_read_no_runs(char_calls, exact_steps, monkeypatch) -> None:
+    def refuse(self, c: int, lo: int, hi: int) -> None:
+        raise AssertionError("a range call slices whole columns")
+
+    monkeypatch.setattr(diagonal_sums._Table, "run", refuse)
+    want = [[_z_comb(n, lam) for n in range(41)] for lam in range(41)]
+    for form in (z_sum_form1, z_sum_form2, z_sum_form3, z_ratio_diagonals):
+        assert form(range(41), 40) == want, form.__name__
+    assert char_calls == [(c, c) for c in range(41)]  # each column seeded at its diagonal
+    table = diagonal_sums._char_table(40)
+    assert table == {c: [c, [math.comb(m, c) for m in range(c, 41)]] for c in range(41)}
+    # the table's 820 steps, then one per later ratio term
+    assert len(exact_steps) == 820 + sum((n - lam) // 2 for lam in range(41) for n in range(lam, 41))
+
+
+def _corrupting(monkeypatch, call: int, position: int) -> None:
+    # numerator `position` of the call-th batch diagonal_sums divides comes in one too high
+    calls = []
+
+    def corrupted(values: list[int], divisors: list[int]) -> list[int]:
+        calls.append(None)
+        if len(calls) == call:
+            values = list(values)
+            values[position] += 1
+        return div_exact_each(values, divisors)
+
+    monkeypatch.setattr(diagonal_sums, "div_exact_each", corrupted)
+
+
+@pytest.mark.parametrize("form", [z_sum_form1, z_sum_form2, z_sum_form3, z_ratio_diagonals])
+@pytest.mark.parametrize("row,position", [(2, 0), (9, 4), (20, 18)])
+def test_a_corrupted_table_row_raises(monkeypatch, form, row, position) -> None:
+    # row m is divided by m, m - 1, ..., 1; every position here has a divisor of 2 or more
+    _corrupting(monkeypatch, row, position)
+    with pytest.raises(ExactnessError):
+        form(range(21), 20)
+
+
+@pytest.mark.parametrize("step,position", [(1, 0), (5, 3), (8, 2)])
+def test_a_corrupted_ratio_step_raises(monkeypatch, step, position) -> None:
+    # the table's 20 rows come first; each ratio step of lam >= 1 divides by 2 or more
+    diagonal_sums._char_table(20).columns(20)
+    _corrupting(monkeypatch, step, position)
+    with pytest.raises(ExactnessError):
+        z_ratio_diagonals(range(1, 21), 20)
 
 
 @pytest.mark.parametrize("lam,max_n", [(0, 40), (3, 40), (40, 40), (41, 40)])

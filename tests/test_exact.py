@@ -1,11 +1,16 @@
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from trinomial.exact import ExactnessError, div_exact, parse_rational
+import trinomial
+from trinomial.exact import ExactnessError, div_exact, div_exact_each, parse_rational
 
 
 def test_div_exact_golden() -> None:
@@ -32,6 +37,46 @@ def test_div_exact_negative_operands() -> None:
     assert div_exact(-30, 5) == -6
     assert div_exact(30, -5) == -6
     assert div_exact(-30, -5) == 6
+
+
+def test_div_exact_each_matches_div_exact() -> None:
+    values = [18480 * 30, -30, 0, 7, 10**40 * 3]
+    divisors = [16, 5, 9, -7, 3]
+    assert div_exact_each(values, divisors) == [div_exact(a, b) for a, b in zip(values, divisors)]
+    assert div_exact_each([], []) == []
+
+
+@pytest.mark.parametrize("bad", [0, 3, 6])
+def test_div_exact_each_rejects_one_remainder_anywhere(bad: int) -> None:
+    # first, middle and last position of a row of seven
+    values = [k * 6 for k in range(1, 8)]
+    values[bad] += 1
+    with pytest.raises(ExactnessError, match=f"^{values[bad]} is not divisible by 6$"):
+        div_exact_each(values, [6] * 7)
+
+
+def test_div_exact_each_rejects_zero_divisor_and_unequal_lengths() -> None:
+    with pytest.raises(ZeroDivisionError):
+        div_exact_each([4, 30, 8], [2, 0, 4])
+    with pytest.raises(ValueError):
+        div_exact_each([4, 30], [2, 3, 4])
+
+
+def test_div_exact_each_raises_under_python_O() -> None:
+    """The check is no assert: python -O, which strips asserts, still raises."""
+    src = str(Path(trinomial.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = (
+        "from trinomial.exact import ExactnessError, div_exact_each\n"
+        "try:\n"
+        "    div_exact_each([6, 7, 8], [2, 2, 2])\n"
+        "except ExactnessError as exc:\n"
+        "    print('raised', exc)\n"
+    )
+    child = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=60, check=True
+    )
+    assert child.stdout == "raised 7 is not divisible by 2\n"
 
 
 def test_integer_ops_closed_on_random_256_bit_operands() -> None:

@@ -128,6 +128,14 @@ def test_gf_by_integral_at_min_tol_next_to_minus_one() -> None:
         assert abs(result.value - closed) <= MIN_TOL * closed, x
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0, MIN_TOL / 2])
+def test_a_tolerance_outside_min_tol_to_infinity_raises_value_error(tol) -> None:
+    with pytest.raises(ValueError, match="tol must be finite and at least"):
+        gf_by_integral(0.25, tol=tol)
+    with pytest.raises(ValueError, match="tol must be finite and at least"):
+        b_identity_check(0.5, 2, tol=tol)
+
+
 def test_mapped_integral_swaps_its_peak_with_sign_minus_one_to_the_lam() -> None:
     # phi -> pi - phi swaps lo and hi and multiplies cos(3 phi) by -1
     tol = 1e-12

@@ -148,6 +148,18 @@ def test_gf_P_matches_recurrence() -> None:
     assert gf_P(120).coeffs == central_sequence(120)
 
 
+def test_p_comes_from_the_root_without_a_division(monkeypatch) -> None:
+    def refuse(a: tuple[int, ...], b: tuple[int, ...]) -> None:
+        raise AssertionError("P = -root' / (1 + 3x) needs no series division")
+
+    monkeypatch.setattr(series, "_div", refuse)
+    tri = build_triangle(40)
+    assert z_series_diagonals(range(3, 4), 40) == [[tri.coeff(n, n + 3) for n in range(41)]]
+    assert z_series_diagonals(range(41), 40)[0] == list(central_sequence(40))
+    for order in (0, 1, 2, 7, 300):
+        assert gf_P(order).coeffs == tuple(central_sequence(order))
+
+
 def test_gf_nu_prefix() -> None:
     nu = gf_nu(9)
     assert nu.coeffs == (0, 0, 1, 1, 2, 4, 9, 21, 51, 127)

@@ -37,6 +37,16 @@ def test_import_loads_no_numpy_and_no_dependency_is_declared() -> None:
     assert re.findall(r"^dependencies\s*=\s*(.*)$", pyproject, re.MULTILINE) == ["[]"]
 
 
+def test_import_loads_no_dataclasses() -> None:
+    """dataclasses pulls in inspect, ast and dis: most of the package's import time."""
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    child = subprocess.run(
+        [sys.executable, "-c", "import trinomial, sys; print('dataclasses' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=60, check=True,
+    )
+    assert child.stdout.strip() == "False"
+
+
 def test_cli_has_one_output_path() -> None:
     """One json.dumps and one csv.writer: every --format verb goes through one emitter."""
     tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
