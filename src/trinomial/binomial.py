@@ -20,7 +20,8 @@ __all__ = [
 ]
 
 
-# Bounded, with room to spare: a sum table seeds each column from one char.
+# Bounded, with room to spare: the sums ask only for the first entry of each
+# column run, one per column of a range's table or per run of one diagonal.
 @lru_cache(maxsize=1 << 15)
 def _char_in_range(n: int, lam: int) -> int:
     # Multiplicative formula; div_exact asserts the classic fact that the

@@ -56,7 +56,10 @@ def _emit(
 
 def _inside(text: str, name: str, lo: Fraction, hi: Fraction, bounds: str) -> float:
     # the literal is checked exactly, then as the double the checks receive
-    value = parse_rational(text)
+    try:
+        value = parse_rational(text)
+    except ValueError as exc:
+        raise ValueError(f"--{name}: {exc}") from None
     if not lo < value < hi:
         raise ValueError(f"need {bounds}, got {text}")
     x = float(value)
@@ -73,6 +76,8 @@ def _tolerance(text: str) -> float:
         tol = math.nan
     if not math.isfinite(tol):
         raise ValueError(f"--tol must be a finite number, got {text}")
+    if tol < quadrature.MIN_TOL:
+        raise ValueError(f"--tol must be at least {quadrature.MIN_TOL}, got {text}")
     return tol
 
 
@@ -251,8 +256,12 @@ def _attach_negative_values(argv: Sequence[str]) -> list[str]:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    args = build_parser().parse_args(_attach_negative_values(argv))
+    argv = _attach_negative_values(sys.argv[1:] if argv is None else argv)
+    parser = build_parser()
+    for arg in argv:
+        if arg.startswith("--") and arg.endswith("=--"):  # argparse < 3.12 keeps no value for it
+            parser.error(f"argument {arg[:-3]}: expected one argument")
+    args = parser.parse_args(argv)
     try:
         return args.func(args)
     except ExactnessError as exc:  # a bug in the package, not bad input

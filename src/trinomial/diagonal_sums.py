@@ -8,17 +8,16 @@ Three different reindexings of the same double sum are implemented
 separately on purpose: they disagree the moment any one of them is wrong,
 which is the whole point of keeping them independent.  Each returns whole
 diagonals over a range of lam, one multiply-add over a slice of n per
-summation index, and reads its binomials from one table of columns, kept
-for the latest max_n only.  Column c holds C(m, c) over one contiguous
-run of m.  A call for more than one diagonal fills the whole table in one
-pass over its rows, each row one batched exact step from the one before
-and the diagonal entry C(m, m) from char, and slices whole columns.  One
-diagonal reads a few entries per n, so it grows runs lazily instead: a
-run's first entry comes from char, every other from one exact step from
-its neighbour, and only the entries some form reads are built.  Either
-way a table costs one char per column run.  A fourth route multiplies
-each term into the next by a rational ratio instead of evaluating
-binomials from scratch; every such step is an exact integer division.
+summation index, and reads its binomials as runs C(lo..hi, c) of one
+column c.  A call for more than one diagonal fills the whole table of
+columns in one pass over its rows, each row one batched exact step from
+the one before and the diagonal entry C(m, m) from char, keeps it for
+the latest max_n only, and slices whole columns.  One diagonal reads a
+few entries per n, so it builds only the runs it reads, each from one
+char and one exact step per further entry, and keeps none of them.  A
+fourth route multiplies each term into the next by a rational ratio
+instead of evaluating binomials from scratch; every such step is an
+exact integer division.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import repeat
 from operator import add, mul
-from typing import Callable, Optional
+from typing import Callable
 
 from .binomial import char
 from .exact import div_exact, div_exact_each
@@ -48,56 +47,27 @@ def _check_indices(n: int, lam: int) -> None:
         raise ValueError(f"lam must be >= 0, got {lam}")
 
 
-def _column_steps(c: int, m: int, value: int, count: int, step: int) -> list[int]:
-    # the next count entries of column c from value = C(m, c), one exact step
-    # each: up to C(m + 1, c) for step 1, by the mirror step to C(m - 1, c) for -1
-    out = []
-    for m in range(m, m + count * step, step):
-        value = div_exact(value * (m + 1), m + 1 - c) if step > 0 else div_exact(value * (m - c), m)
-        out.append(value)
-    return out
-
-
-class _Table(dict):
-    """Column c -> [first m, [C(first m, c), C(first m + 1, c), ...]]."""
-
-    whole: Optional[list[list[int]]] = None
-
-    def run(self, c: int, lo: int, hi: int) -> list[int]:
-        """C(lo..hi, c) for c <= lo, growing column c's run to cover them."""
-        if lo > hi:
-            return []
-        column = self.get(c)
-        if column is None:
-            column = self[c] = [lo, [char(lo, c)]]
-        first, values = column
-        if lo < first:
-            values[:0] = _column_steps(c, first, values[0], first - lo, -1)[::-1]
-            column[0] = first = lo
-        last = first + len(values) - 1
-        if hi > last:
-            values += _column_steps(c, last, values[-1], hi - last, 1)
-        return values[lo - first : hi + 1 - first]
-
-    def columns(self, max_n: int) -> list[list[int]]:
-        """C(c..max_n, c) for every c <= max_n, filled row by row on first use."""
-        if self.whole is None:
-            rows = [[char(0, 0)]]
-            for m in range(1, max_n + 1):
-                # C(m, c) = C(m - 1, c) m / (m - c) for c < m, one batched check;
-                # C(m, m) seeds column m
-                steps = div_exact_each([value * m for value in rows[-1]], range(m, 0, -1))
-                rows.append(steps + [char(m, m)])
-            self.whole = [[row[c] for row in rows[c:]] for c in range(max_n + 1)]
-            self.clear()
-            self.update((c, [c, column]) for c, column in enumerate(self.whole))
-        return self.whole
+def _run(c: int, lo: int, hi: int) -> list[int]:
+    # C(lo..hi, c) for c <= lo: C(lo, c) from char, then C(m + 1, c) = C(m, c)(m + 1)
+    # / (m + 1 - c), one exact step per entry
+    if lo > hi:
+        return []
+    values = [char(lo, c)]
+    for m in range(lo, hi):
+        values.append(div_exact(values[-1] * (m + 1), m + 1 - c))
+    return values
 
 
 @lru_cache(maxsize=1)
-def _char_table(max_n: int) -> _Table:
-    # the latest max_n's table only: the three forms share it within one call
-    return _Table()
+def _char_table(max_n: int) -> list[list[int]]:
+    # column c holds C(c..max_n, c), for the latest max_n only: the routes of one
+    # first_mismatch share it.  C(m, c) = C(m - 1, c) m / (m - c) for c < m fills
+    # row m from row m - 1 with one batched check; C(m, m) seeds column m
+    rows = [[char(0, 0)]]
+    for m in range(1, max_n + 1):
+        steps = div_exact_each([value * m for value in rows[-1]], range(m, 0, -1))
+        rows.append(steps + [char(m, m)])
+    return [[row[c] for row in rows[c:]] for c in range(max_n + 1)]
 
 
 Run = Callable[[int, int, int], list[int]]
@@ -105,22 +75,21 @@ Run = Callable[[int, int, int], list[int]]
 
 def _diagonals(kernel: Callable[[int, int, Run], list[int]], lams: range, max_n: int) -> list[list[int]]:
     _check_indices(max_n, min(lams, default=0))
-    table = _char_table(max_n)
     if len(lams) > 1:
-        whole = table.columns(max_n)
+        columns = _char_table(max_n)
 
         def run(c: int, lo: int, hi: int) -> list[int]:
-            return whole[c][lo - c : hi + 1 - c]
+            return columns[c][lo - c : hi + 1 - c]
 
-    else:  # one diagonal reads a few entries per n: only those are built
-        run = table.run
+    else:  # one diagonal reads a few entries per n: it builds only those and keeps none
+        run = _run
     return [kernel(lam, max_n, run) for lam in lams]
 
 
 # Each kernel reads run(c, lo, hi) = C(lo..hi, c), and adds a summation index into
 # acc[start:] = z(start..max_n, lam) with one map over the slice.  The factors span
-# that slice exactly, and the one at the lower m is read first, so a lazy column is
-# seeded where char is cheapest.
+# that slice exactly, so a single diagonal's run starts where char is cheapest, at
+# the lowest m the sum reads.
 def _form1(lam: int, max_n: int, run: Run) -> list[int]:
     acc = [0] * (max_n + 1)
     for a in range((max_n - lam) // 2 + 1):  # until lam + 2a > max_n
@@ -221,7 +190,7 @@ def _ratio_diagonal(lam: int, max_n: int, run: Run) -> list[int]:
 def z_ratio_diagonals(lams: range, max_n: int) -> list[list[int]]:
     """z(0..max_n, lam) for each lam in lams by the term ratio of
     z_term_ratio, each step taken for every n still alive at once, its first
-    terms read from the sums' table of binomial columns."""
+    terms C(n, lam) read as column lam, as the sums read theirs."""
     return _diagonals(_ratio_diagonal, lams, max_n)
 
 

@@ -173,9 +173,12 @@ def _mapped_integral(lo: float, hi: float, lam: int, tol: float, scale: float) -
     if lam:
         log_m += lam * math.log((1.0 - a * rho) / (rho - a))
         log_m += math.log((1.0 - a * a) * rho / ((1.0 - a * rho) * (rho - a)))
-    # smallest m >= 1 with M rho^m / (1 - rho^m) <= tol scale / (8 pi), then N = ceil(m / 2)
-    log_c = math.log(tol * scale / (8.0 * math.pi)) - log_m
-    m = max(1, math.ceil((log_c - math.log1p(math.exp(log_c))) / math.log(rho)))
+    # smallest m >= 1 with M rho^m / (1 - rho^m) <= C = tol scale / (8 pi M), that is
+    # rho^m <= C / (1 + C), then N = ceil(m / 2).  Both are kept as logs, since tol scale
+    # can overflow; log(C / (1 + C)) takes the form whose exp stays at most 1
+    log_c = math.log(tol / (8.0 * math.pi)) + math.log(scale) - log_m
+    log_share = log_c - math.log1p(math.exp(log_c)) if log_c < 0.0 else -math.log1p(math.exp(-log_c))
+    m = max(1, math.ceil(log_share / math.log(rho)))
     panels = (m + 1) // 2
 
     def f(psi: float) -> float:
@@ -185,7 +188,10 @@ def _mapped_integral(lo: float, hi: float, lam: int, tol: float, scale: float) -
         return math.cos(2.0 * lam * math.atan(u)) * (1.0 + u * u) / (lo * u * u + hi) * jacobian
 
     value = sign * integrate_0_pi(f, panels).value
-    aliased = math.exp(log_m + 2 * panels * math.log(rho))
+    try:
+        aliased = math.exp(log_m + 2 * panels * math.log(rho))
+    except OverflowError:  # the bound meets tol scale / 4, which can pass the largest double
+        aliased = math.inf
     return QuadratureResult(value, 2.0 * math.pi * aliased / (1.0 - rho ** (2 * panels)), panels)
 
 

@@ -4,12 +4,15 @@ import contextlib
 import csv
 import io
 import json
+import math
+import re
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trinomial import cli, methods, series, triangle
+from trinomial import cli, methods, quadrature, series, triangle
 from trinomial.exact import ExactnessError
 from trinomial.recurrences import central_sequence
 from trinomial.triangle import build_triangle
@@ -225,6 +228,49 @@ def test_a_tolerance_that_is_no_finite_number_is_named_as_typed(capsys, verb, to
     assert err == f"error: --tol must be a finite number, got {tol}\n"
 
 
+@pytest.mark.parametrize("tol", ["0.00000000000001", "1E-14", "0", "-1e-5", "5e-324"])
+@pytest.mark.parametrize("verb", [("quad", "--kind", "gf", "--x", "1/4"), ("identity", "--b", "1/2")])
+def test_a_tolerance_below_the_minimum_is_named_as_typed(capsys, verb, tol) -> None:
+    code, out, err = _run(capsys, *verb, "--tol", tol)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --tol must be at least 1e-13, got {tol}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("identity", "--b", "999/1000", "--tol", "1e306", "--lambda-max", "1"),
+        ("identity", "--b", "999/1000", "--tol", repr(sys.float_info.max)),
+        ("quad", "--kind", "gf", "--x", "1/4", "--tol", repr(sys.float_info.max)),
+    ],
+    ids=lambda argv: " ".join(argv[:1]),
+)
+def test_a_tolerance_up_to_the_largest_double_passes(capsys, argv) -> None:
+    code, _, err = _run(capsys, *argv)
+    assert (code, err) == (0, "")
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("row", "--n=--"), "argument --n: expected one argument"),
+        (("crosscheck", "--max-n", "3", "--methods=--"), "argument --methods: expected one argument"),
+        (("identity", "--b", ""), "error: --b: not a rational literal: ''"),
+        (("quad", "--kind", "gf", "--x", "0.25"), "error: --x: not a rational literal: '0.25'"),
+    ],
+)
+def test_a_value_that_cannot_be_read_is_named_with_its_option(capsys, argv, message) -> None:
+    # "--n=--" reached the verb as an empty list on Python 3.11, and failed with a traceback
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err.strip().splitlines()[-1].endswith(message)
+
+
 def test_identity_past_the_panel_budget_exits_three(capsys) -> None:
     code, _, err = _run(capsys, "identity", "--b", "999999999999/1000000000000")
     assert code == 3
@@ -322,3 +368,94 @@ def test_every_format_carries_the_json_payload(capsys, argv) -> None:
     code, out, _ = _run(capsys, *argv, "--format", "table")
     assert code == 0
     assert out.splitlines() == _expected_table(payload, header, rows)
+
+
+def _one_of(*values: str) -> st.SearchStrategy[str]:
+    return st.sampled_from(values)
+
+
+_JUNK = _one_of("", "x", "1.5", "1e3", "0x3", "1/0", "--")
+
+
+def _ints(lo: int, hi: int) -> tuple[st.SearchStrategy[str], st.SearchStrategy[str]]:
+    return st.integers(lo, hi).map(str), st.integers(-(10**20), lo - 1).map(str) | _JUNK
+
+
+def _spelled(floats: st.SearchStrategy[float]) -> st.SearchStrategy[str]:
+    # several spellings, so that a message echoing float(text) instead of the text shows
+    spellings = st.sampled_from([repr, "{:E}".format, "{:.30f}".format])
+    return st.builds(lambda spell, x: spell(x), spellings, floats)
+
+
+_FORMAT = (_one_of("table", "csv", "json"), _one_of("xml", ""))
+_METHOD = (st.sampled_from(methods.METHOD_NAMES), _JUNK)
+_EDGE_TOLS = st.sampled_from([5e-324, 1e-14, quadrature.MIN_TOL, sys.float_info.max])
+_TOL = (  # tiny to the largest double; below MIN_TOL it must be refused naming --tol
+    _spelled(st.floats(0.0, sys.float_info.max) | _EDGE_TOLS),
+    _spelled(st.floats(max_value=0.0, exclude_max=True) | st.just(math.nan) | st.just(math.inf)) | _JUNK,
+)
+# option -> (valid values, invalid values), sizes kept small
+_GRAMMAR: dict[str, dict[str, tuple[st.SearchStrategy[str], st.SearchStrategy[str]]]] = {
+    "row": {"--n": _ints(0, 12), "--format": _FORMAT},
+    "central": {"--max-n": _ints(0, 12), "--method": _METHOD, "--format": _FORMAT},
+    "diag": {"--lambda": _ints(0, 14), "--max-n": _ints(0, 12), "--method": _METHOD, "--format": _FORMAT},
+    "crosscheck": {
+        "--max-n": _ints(0, 12),
+        "--methods": (
+            st.lists(st.sampled_from(methods.METHOD_NAMES), min_size=1, max_size=3).map(",".join),
+            st.lists(st.sampled_from([*methods.METHOD_NAMES, "guess"]), max_size=3).map(",".join),
+        ),
+    },
+    "gf": {"--order": _ints(0, 40), "--lambda": _ints(0, 12), "--format": _FORMAT},
+    "quad": {
+        "--kind": (_one_of("z", "gf"), _one_of("w", "")),
+        "--n": _ints(0, 33),  # past 30 the quadrature refuses it
+        "--lambda": _ints(0, 33),
+        "--x": (
+            _one_of("1/4", "-1/2", "0", "-999/1000", "333/1000", "-99999999999/100000000000"),
+            _one_of("1/3", "-1", "2", "0.25") | _JUNK,
+        ),
+        "--tol": _TOL,
+        "--format": _FORMAT,
+    },
+    "identity": {
+        "--b": (
+            _one_of("1/2", "3/10", "1/1000", "999/1000", "9999/10000", "999999/1000000"),  # cheap at any --tol
+            _one_of("0", "1", "-1/2", "5/4", "99999999999999999999/100000000000000000000") | _JUNK,
+        ),
+        "--lambda-max": _ints(0, 4),
+        "--tol": _TOL,
+    },
+    "bogus": {"--n": _ints(0, 3)},
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_every_argv_exits_0_to_3_and_names_what_it_refuses(data: st.DataObject) -> None:
+    # each option valid, invalid or left out, given as one token or two, in any order
+    verb = data.draw(st.sampled_from(sorted(_GRAMMAR)), label="verb")
+    grammar = _GRAMMAR[verb]
+    argv, typed, present = [verb], [], {}
+    for option, (valid, invalid) in grammar.items():
+        state = data.draw(_one_of("valid", "valid", "valid", "invalid", "absent"), label=option)
+        if state != "absent":
+            present[option] = data.draw(valid if state == "valid" else invalid, label=option)
+    for option in data.draw(st.permutations(sorted(present)), label="order"):
+        value = present[option]
+        argv += [f"{option}={value}"] if data.draw(st.booleans(), label="one token") else [option, value]
+        typed += value.split(",")  # each method of --methods is a value of its own
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse refuses the argv
+            code = exc.code
+    assert code in (0, 1, 2, 3), (argv, err.getvalue())  # never 4, a bug in the package
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        message = err.getvalue().strip().splitlines()[-1]  # below argparse's usage lines
+        names = [*grammar, *filter(None, typed), *([verb] if verb == "bogus" else [])]
+        # a name counts as a whole word: "1" typed is not named by "1e-13"
+        named = [name for name in names if re.search(rf"(?<![\w.+-]){re.escape(name)}(?![\w.+-])", message)]
+        assert named, (argv, message)

@@ -96,7 +96,7 @@ def _z_comb(n: int, lam: int) -> int:
 
 
 def _entries(max_n: int) -> int:
-    return sum(len(values) for _, values in diagonal_sums._char_table(max_n).values())
+    return sum(map(len, diagonal_sums._char_table(max_n)))
 
 
 @pytest.fixture
@@ -131,33 +131,33 @@ def test_cold_full_table_takes_one_exact_step_per_entry_past_each_seed(
 
 @pytest.mark.parametrize("form", [z_sum_form1, z_sum_form2, z_sum_form3])
 @pytest.mark.parametrize("lam,max_n", [(290, 300), (40, 40), (39, 40), (20, 40), (0, 40)])
-def test_one_diagonal_builds_at_most_its_square(form, char_calls, lam, max_n) -> None:
+def test_one_diagonal_builds_at_most_its_square(form, char_calls, exact_steps, lam, max_n) -> None:
     rows = form(range(lam, lam + 1), max_n)
     assert rows == [[_z_comb(n, lam) for n in range(max_n + 1)]]
-    # (max_n - lam + 1)^2, except that lam = max_n still reads two binomials
-    assert _entries(max_n) <= max((max_n - lam + 1) ** 2, 2)
+    # every entry it builds is a char seed or one exact step: (max_n - lam + 1)^2 at
+    # most, except that lam = max_n still reads two binomials
+    assert len(char_calls) + len(exact_steps) <= max((max_n - lam + 1) ** 2, 2)
+    assert diagonal_sums._char_table.cache_info().currsize == 0
 
 
-def test_table_grows_down_and_up_in_any_order(char_calls) -> None:
-    # one cached table serves every form; runs first built high must grow down
+def test_single_diagonals_in_any_order_keep_no_table() -> None:
     for lam in (30, 0, 20):
-        for form in (z_sum_form1, z_sum_form2, z_sum_form3):
+        for form in (z_sum_form1, z_sum_form2, z_sum_form3, z_ratio_diagonals):
             assert form(range(lam, lam + 1), 40) == [[_z_comb(n, lam) for n in range(41)]]
-    for c, (first, values) in diagonal_sums._char_table(40).items():
-        assert values == [math.comb(m, c) for m in range(first, first + len(values))], c
+    assert diagonal_sums._char_table.cache_info().currsize == 0
 
 
 def test_range_calls_fill_the_table_by_rows_and_read_no_runs(char_calls, exact_steps, monkeypatch) -> None:
-    def refuse(self, c: int, lo: int, hi: int) -> None:
+    def refuse(c: int, lo: int, hi: int) -> None:
         raise AssertionError("a range call slices whole columns")
 
-    monkeypatch.setattr(diagonal_sums._Table, "run", refuse)
+    monkeypatch.setattr(diagonal_sums, "_run", refuse)
     want = [[_z_comb(n, lam) for n in range(41)] for lam in range(41)]
     for form in (z_sum_form1, z_sum_form2, z_sum_form3, z_ratio_diagonals):
         assert form(range(41), 40) == want, form.__name__
     assert char_calls == [(c, c) for c in range(41)]  # each column seeded at its diagonal
     table = diagonal_sums._char_table(40)
-    assert table == {c: [c, [math.comb(m, c) for m in range(c, 41)]] for c in range(41)}
+    assert table == [[math.comb(m, c) for m in range(c, 41)] for c in range(41)]
     # the table's 820 steps, then one per later ratio term
     assert len(exact_steps) == 820 + sum((n - lam) // 2 for lam in range(41) for n in range(lam, 41))
 
@@ -188,7 +188,7 @@ def test_a_corrupted_table_row_raises(monkeypatch, form, row, position) -> None:
 @pytest.mark.parametrize("step,position", [(1, 0), (5, 3), (8, 2)])
 def test_a_corrupted_ratio_step_raises(monkeypatch, step, position) -> None:
     # the table's 20 rows come first; each ratio step of lam >= 1 divides by 2 or more
-    diagonal_sums._char_table(20).columns(20)
+    diagonal_sums._char_table(20)
     _corrupting(monkeypatch, step, position)
     with pytest.raises(ExactnessError):
         z_ratio_diagonals(range(1, 21), 20)

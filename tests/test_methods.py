@@ -133,15 +133,30 @@ def test_cold_sum_routes_keep_at_most_one_table() -> None:
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        central_values("sum1", 300)
+        # two diagonals make a range call, which fills the whole table for its max_n
+        methods._METHODS["sum1"](range(2), 300)
         one_table = tracemalloc.get_traced_memory()[0] - start
-        central_values("sum1", 290)
-        central_values("sum2", 280)
+        methods._METHODS["sum1"](range(2), 290)
+        methods._METHODS["sum2"](range(2), 280)
         held = tracemalloc.get_traced_memory()[0] - start
     finally:
         tracemalloc.stop()
     assert one_table > 2**20  # the max_n = 300 table: most of what the first call keeps
     assert held <= 1.05 * one_table
+
+
+@pytest.mark.parametrize("method", ["sum1", "sum2", "sum3", "ratio"])
+def test_one_cold_sum_diagonal_keeps_no_table(method: str) -> None:
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        values = central_values(method, 300)
+        held, peak = (size - start for size in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert values[300] == _z_comb(300, 0)
+    assert held < 2**18
+    assert peak < 2**19
 
 
 def test_first_mismatch_runs_each_route_once(monkeypatch) -> None:

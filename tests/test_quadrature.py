@@ -136,6 +136,15 @@ def test_a_tolerance_outside_min_tol_to_infinity_raises_value_error(tol) -> None
         b_identity_check(0.5, 2, tol=tol)
 
 
+def test_a_tolerance_up_to_the_largest_double_passes() -> None:
+    # tol scale passes the largest double here, so the panel count is found in logs
+    for tol in (1e306, 1e307, sys.float_info.max):
+        assert b_identity_check(0.999, 2, tol=tol)
+        assert b_reduction_chain_check(0.999, 2, tol=tol)
+        assert gf_by_integral(0.25, tol=tol).panels == 1
+    assert b_identity_check(0.999, 400, tol=1e307)  # an error bound past it reads inf
+
+
 def test_mapped_integral_swaps_its_peak_with_sign_minus_one_to_the_lam() -> None:
     # phi -> pi - phi swaps lo and hi and multiplies cos(3 phi) by -1
     tol = 1e-12
