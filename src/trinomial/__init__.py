@@ -17,12 +17,7 @@ from .diagonal_sums import (
     z_sum_form3,
     z_term_ratio,
 )
-from .differences import (
-    build_difference_table,
-    delta_expansion_coefficients,
-    stepwise_chain,
-    z_from_differences,
-)
+from .differences import delta_expansion_coefficients, stepwise_chain
 from .exact import ExactnessError, div_exact
 from .methods import METHOD_NAMES, central_values, diagonal_values, first_mismatch
 from .quadrature import (
@@ -56,9 +51,7 @@ __all__ = [
     "central_p_factor_series",
     "central_sequence",
     "general_sequence",
-    "build_difference_table",
     "delta_expansion_coefficients",
-    "z_from_differences",
     "stepwise_chain",
     "PowerSeries",
     "polynomial",

@@ -1,13 +1,16 @@
 """Diagonals of (1 + x + x^2)^n from forward differences of the center.
 
 Once the central column p(n) is known, every other diagonal falls out of
-its difference table: with Delta^k the k-th forward difference in n,
+its forward differences: with Delta^k the k-th forward difference in n,
 
     2 z(n, lam) = Delta^lam p(n) - c_1 Delta^(lam-2) p(n)
                   + c_2 Delta^(lam-4) p(n) - ...
 
 where c_j = (lam / j) * C(lam - j - 1, j - 1) and the sum stops while
 lam - 2j >= 0.  The right-hand side is always even; the halving is checked.
+z_delta_diagonals streams the difference orders: each order is added into
+every doubled diagonal that reads it and then replaced by the next, so one
+order is held at a time and no table of differences is kept.
 
 The paper's stepwise chain builds the diagonals one at a time:
 q(n) = (p(n+1) - p(n)) / 2 and then
@@ -20,34 +23,13 @@ from operator import sub
 from typing import Sequence
 
 from .exact import ExactnessError, div_exact
+from .recurrences import central_sequence
 
 __all__ = [
-    "build_difference_table",
     "delta_expansion_coefficients",
-    "z_from_differences",
+    "z_delta_diagonals",
     "stepwise_chain",
 ]
-
-
-def build_difference_table(
-    base: Sequence[int], max_order: int
-) -> tuple[tuple[int, ...], ...]:
-    """Forward differences of an integer sequence, orders 0..max_order.
-
-    rows[j][i] is Delta^j of the base at index i; rows[0] is the base
-    itself, and each row is one entry shorter than the one before.
-    """
-    if max_order < 0:
-        raise ValueError(f"max_order must be >= 0, got {max_order}")
-    if len(base) <= max_order:
-        raise ValueError(
-            f"base of length {len(base)} cannot support differences to order {max_order}"
-        )
-    rows = [tuple(base)]
-    for _ in range(max_order):
-        prev = rows[-1]
-        rows.append(tuple(map(sub, prev[1:], prev)))
-    return tuple(rows)
 
 
 def delta_expansion_coefficients(lam: int) -> list[int]:
@@ -67,30 +49,46 @@ def delta_expansion_coefficients(lam: int) -> list[int]:
     return coeffs
 
 
-def z_from_differences(
-    rows: Sequence[Sequence[int]], lam: int, max_n: int
-) -> list[int]:
-    """z(0..max_n, lam), lam >= 1, from a difference table of the p column.
+def z_delta_diagonals(lams: range, max_n: int) -> list[list[int]]:
+    """z(0..max_n, lam) for each lam in lams by the Delta expansion.
 
-    2 z(., lam) is formed as one combination of whole difference rows, and
-    each value is then checked to be even.  Every index is nonnegative, so
-    a table too short for (lam, max_n) raises IndexError.
+    One pass over the orders k = 0..top, top the largest lam <= max_n:
+    Delta^k p(0..max_n) is added, times its coefficient, into the doubled
+    diagonal of each lam >= k of the same parity, and Delta^(k+1) is then
+    taken from it.  Each doubled diagonal is checked to be even and
+    halved.  lam = 0 is the central column itself; a lam past max_n is all
+    zeros and builds no central column.
     """
-    coeffs = delta_expansion_coefficients(lam)
     if max_n < 0:
         raise ValueError(f"max_n must be >= 0, got {max_n}")
-    doubled = [0] * (max_n + 1)
-    for j, c in enumerate(coeffs):
-        row = rows[lam - 2 * j]
-        if len(row) <= max_n:
-            raise IndexError(f"difference row {lam - 2 * j} too short for max_n = {max_n}")
-        doubled = [d + c * v for d, v in zip(doubled, row)]
-    for n, value in enumerate(doubled):
-        if value & 1:
-            raise ExactnessError(
-                f"Delta expansion for lam={lam}, n={n} gave odd value {value}"
-            )
-    return [value >> 1 for value in doubled]
+    if min(lams, default=0) < 0:
+        raise ValueError(f"lam must be >= 0, got {min(lams)}")
+    alive = [lam for lam in lams if lam <= max_n]
+    if not alive:
+        return [[0] * (max_n + 1) for _ in lams]
+    top = max(alive)
+    row = list(central_sequence(max_n + top))
+    center = row[: max_n + 1]
+    coeffs = {lam: delta_expansion_coefficients(lam) for lam in alive if lam}
+    doubled = {lam: [0] * (max_n + 1) for lam in coeffs}
+    for k in range(top + 1):
+        if k:
+            row = list(map(sub, row[1:], row))
+        for lam in range(k or 2, top + 1, 2):  # lam >= k, lam = k mod 2, lam >= 1
+            if lam in doubled:
+                c = coeffs[lam][(lam - k) // 2]
+                doubled[lam] = [d + c * v for d, v in zip(doubled[lam], row)]
+    for lam, values in doubled.items():
+        for n, value in enumerate(values):
+            if value & 1:
+                raise ExactnessError(
+                    f"Delta expansion for lam={lam}, n={n} gave odd value {value}"
+                )
+        doubled[lam] = [value >> 1 for value in values]
+    return [
+        center if lam == 0 else doubled[lam] if lam in doubled else [0] * (max_n + 1)
+        for lam in lams
+    ]
 
 
 def stepwise_chain(

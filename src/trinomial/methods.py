@@ -50,19 +50,6 @@ def _by_recurrence(lams: range, max_n: int) -> list[list[int]]:
     return [list(recurrences.general_sequence(lam, max_n)) for lam in lams]
 
 
-def _by_delta(lams: range, max_n: int) -> list[list[int]]:
-    # The difference formulas express diagonal lam through the central
-    # column, so lam = 0 is the central column itself.  Past it, all is 0.
-    if lams[0] > max_n:
-        return [[0] * (max_n + 1) for _ in lams]
-    base = recurrences.central_sequence(max_n + lams[-1])
-    table = differences.build_difference_table(base, lams[-1])
-    return [
-        differences.z_from_differences(table, lam, max_n) if lam else list(base[: max_n + 1])
-        for lam in lams
-    ]
-
-
 _METHODS: dict[str, Route] = {
     "oracle": _by_oracle,
     "sum1": _by_form(diagonal_sums.z_sum_form1),
@@ -70,7 +57,7 @@ _METHODS: dict[str, Route] = {
     "sum3": _by_form(diagonal_sums.z_sum_form3),
     "ratio": _by_form(diagonal_sums.z_ratio_diagonals),
     "recurrence": _by_recurrence,
-    "delta": _by_delta,
+    "delta": _by_form(differences.z_delta_diagonals),
     "series": _by_form(series.z_series_diagonals),
 }
 

@@ -53,20 +53,6 @@ def _mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple([sum(map(mul, a, reversed_b[n - 1 - k :])) for k in range(n)])
 
 
-def _div(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    if not b[0]:
-        raise ZeroDivisionError("division by a series with zero constant term")
-    order = len(a) - 1
-    out: list[int] = []
-    for k in range(order + 1):
-        acc = a[k]
-        for i, ci in enumerate(out):
-            if ci:
-                acc -= ci * b[k - i]
-        out.append(div_exact(acc, b[0]))
-    return tuple(out)
-
-
 # ---------------------------------------------------------------------------
 
 
@@ -109,17 +95,11 @@ class PowerSeries:
     def order(self) -> int:
         return len(self.coeffs) - 1
 
-    def truncate(self, order: int) -> PowerSeries:
-        """The same series cut after x^order; order may not exceed self.order."""
-        if not 0 <= order <= self.order:
-            raise ValueError(f"cannot truncate order {self.order} to {order}")
-        return PowerSeries(self.coeffs[: order + 1])
-
     def _match(self, other: PowerSeries) -> None:
         if self.order != other.order:
             raise ValueError(
                 f"order mismatch: {self.order} vs {other.order}; "
-                "truncate explicitly before combining"
+                "build both series at one order"
             )
 
     # -- ring operations ----------------------------------------------------
@@ -145,10 +125,7 @@ class PowerSeries:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other: Union[PowerSeries, int]) -> PowerSeries:
-        if isinstance(other, PowerSeries):
-            self._match(other)
-            return PowerSeries(_div(self.coeffs, other.coeffs))
+    def __truediv__(self, other: int) -> PowerSeries:
         if type(other) is int:
             return PowerSeries(tuple(div_exact(a, other) for a in self.coeffs))
         return NotImplemented

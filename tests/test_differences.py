@@ -4,11 +4,11 @@ import math
 
 import pytest
 
+from trinomial import differences
 from trinomial.differences import (
-    build_difference_table,
     delta_expansion_coefficients,
     stepwise_chain,
-    z_from_differences,
+    z_delta_diagonals,
 )
 from trinomial.exact import ExactnessError
 from trinomial.recurrences import central_sequence
@@ -27,20 +27,26 @@ KNOWN_COEFFS = {
 
 
 def test_difference_table_basics() -> None:
-    assert build_difference_table([1, 1, 3, 7, 19, 51], 3) == (
-        (1, 1, 3, 7, 19, 51),
-        (0, 2, 4, 12, 32),
-        (2, 2, 8, 20),
-        (0, 6, 12),
-    )
+    # p(0..6) = 1, 1, 3, 7, 19, 51, 141 and its orders 1..3 from n = 0:
+    # 0, 2, 4, 12, 32, 90 / 2, 2, 8, 20, 58 / 0, 6, 12, 38
+    assert z_delta_diagonals(range(5), 3) == [
+        [1, 1, 3, 7],
+        [0, 1, 2, 6],
+        [0, 0, 1, 3],
+        [0, 0, 0, 1],
+        [0, 0, 0, 0],
+    ]
 
 
 def test_difference_table_errors() -> None:
     with pytest.raises(ValueError):
-        build_difference_table([1, 2], 2)
+        z_delta_diagonals(range(-1, 2), 3)
     with pytest.raises(ValueError):
-        build_difference_table([1, 2, 3], -1)
-    assert build_difference_table([5], 0) == ((5,),)
+        z_delta_diagonals(range(2), -1)
+    with pytest.raises(ValueError):
+        z_delta_diagonals(range(0), -1)
+    assert z_delta_diagonals(range(0), 5) == []
+    assert z_delta_diagonals(range(4, 4), 0) == []
 
 
 def test_delta_expansion_coefficients_known() -> None:
@@ -79,38 +85,37 @@ def test_delta_expansion_matches_surd_binomial_expansion() -> None:
 
 
 def test_z_from_differences_disambiguation() -> None:
-    # the lam=3 diagonal: zero while the row is too short, first 1 at n=3
-    table = build_difference_table(central_sequence(12), 3)
+    # the lam=3 diagonal: zero while the difference order is too short, first 1 at n=3
     tri = build_triangle(6)
-    values = z_from_differences(table, 3, 3)
+    [values] = z_delta_diagonals(range(3, 4), 3)
     assert values[2] == 0 == tri.coeff(2, 5)
     assert values[3] == 1 == tri.coeff(3, 6)
 
 
 def test_z_from_differences_matches_oracle() -> None:
-    p = central_sequence(60)
     tri = build_triangle(40)
-    for lam in range(1, 13):
-        table = build_difference_table(p, lam)
-        values = z_from_differences(table, lam, 40)
-        for n in range(41):
-            assert values[n] == tri.coeff(n, n + lam), (lam, n)
+    expected = [[tri.coeff(n, n + lam) for n in range(41)] for lam in range(13)]
+    assert z_delta_diagonals(range(13), 40) == expected
+    for lam in range(13):
+        assert z_delta_diagonals(range(lam, lam + 1), 40) == [expected[lam]], lam
+    # past the diagonal every value is zero, alone or after live diagonals
+    assert z_delta_diagonals(range(41, 45), 40) == [[0] * 41] * 4
+    assert z_delta_diagonals(range(39, 43), 40)[2:] == [[0] * 41] * 2
 
 
-def test_z_from_differences_errors() -> None:
-    table = build_difference_table(central_sequence(8), 4)
-    with pytest.raises(ValueError):
-        z_from_differences(table, 0, 1)
-    with pytest.raises(ValueError):
-        z_from_differences(table, 2, -1)
-    with pytest.raises(IndexError):
-        z_from_differences(table, 2, 8)  # Delta^2 row stops at index 6
-    with pytest.raises(IndexError):
-        z_from_differences(table, 5, 0)  # no Delta^5 row
+def test_whole_ranges_to_max_n_60_match_oracle() -> None:
+    # each whole range, so every order feeds every diagonal of its parity at once
+    tri = build_triangle(60)
+    for max_n in range(61):
+        expected = [[tri.coeff(n, n + lam) for n in range(max_n + 1)] for lam in range(max_n + 3)]
+        assert z_delta_diagonals(range(max_n + 3), max_n) == expected, max_n
+
+
+def test_z_from_differences_errors(monkeypatch) -> None:
+    # a base that is not the central column breaks the parity guarantee
+    monkeypatch.setattr(differences, "central_sequence", lambda max_n: (1, 2, 4, 8, 16)[: max_n + 1])
     with pytest.raises(ExactnessError, match="lam=2, n=0"):
-        # a base that is not the central column breaks the parity guarantee
-        bad = build_difference_table([1, 2, 4, 8, 16], 2)
-        z_from_differences(bad, 2, 0)
+        z_delta_diagonals(range(2, 3), 2)
 
 
 def test_stepwise_chain_golden() -> None:

@@ -79,10 +79,10 @@ def test_one_pass_rows_match_single_diagonals(method: str, data: st.DataObject) 
 
 
 def test_delta_past_the_diagonal_builds_no_table(monkeypatch) -> None:
-    def refuse(base, max_order):
-        raise AssertionError("difference table built")
+    def refuse(max_n):
+        raise AssertionError("central column built")
 
-    monkeypatch.setattr(methods.differences, "build_difference_table", refuse)
+    monkeypatch.setattr(methods.differences, "central_sequence", refuse)
     assert diagonal_values("delta", 1200, 5) == [0] * 6
 
 
@@ -110,6 +110,19 @@ def test_one_cold_oracle_diagonal_keeps_no_triangle() -> None:
         tracemalloc.stop()
     assert values[1000] == _z_comb(1000, 3)
     assert peak < 5 * 2**20
+
+
+def test_one_cold_delta_diagonal_keeps_no_difference_table() -> None:
+    # one difference order at a time: the central column to n = 900 and the
+    # doubled diagonal, not every order up to lam
+    tracemalloc.start()
+    try:
+        values = diagonal_values("delta", 300, 600)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert values[600] == _z_comb(600, 300)
+    assert peak < 2**20
 
 
 @pytest.mark.parametrize("method", METHOD_NAMES)

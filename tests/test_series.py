@@ -47,9 +47,11 @@ def test_ring_operations() -> None:
 def test_mismatched_orders_refused() -> None:
     a = polynomial([1], 3)
     b = polynomial([1], 4)
-    for op in (lambda: a + b, lambda: a - b, lambda: a * b, lambda: a / b):
+    for op in (lambda: a + b, lambda: a - b, lambda: a * b):
         with pytest.raises(ValueError):
             op()
+    with pytest.raises(TypeError):  # a series divides by an int only
+        a / a
 
 
 def test_float_scalars_refused() -> None:
@@ -74,22 +76,6 @@ def test_scalar_division_with_remainder_raises() -> None:
         a / 2
     with pytest.raises(ZeroDivisionError):
         a / 0
-
-
-def test_division_round_trip() -> None:
-    a = polynomial([1, -2, 5, 0, 3], 8)
-    b = polynomial([1, 1, 1], 8)
-    assert (a / b) * b == a
-    assert (a * b) / b == a
-    with pytest.raises(ZeroDivisionError):
-        a / polynomial([0, 1], 8)
-
-
-def test_series_division_leaving_the_integers_raises() -> None:
-    a = polynomial([1, -2, 5, 0, 3], 8)
-    with pytest.raises(ExactnessError):
-        a / polynomial([2, 1, 1], 8)
-    assert (a * 2) / polynomial([2], 8) == a
 
 
 def test_power() -> None:
@@ -148,11 +134,8 @@ def test_gf_P_matches_recurrence() -> None:
     assert gf_P(120).coeffs == central_sequence(120)
 
 
-def test_p_comes_from_the_root_without_a_division(monkeypatch) -> None:
-    def refuse(a: tuple[int, ...], b: tuple[int, ...]) -> None:
-        raise AssertionError("P = -root' / (1 + 3x) needs no series division")
-
-    monkeypatch.setattr(series, "_div", refuse)
+def test_p_comes_from_the_root_without_a_division() -> None:
+    # P = -root' / (1 + 3x) one coefficient at a time; there is no series division
     tri = build_triangle(40)
     assert z_series_diagonals(range(3, 4), 40) == [[tri.coeff(n, n + 3) for n in range(41)]]
     assert z_series_diagonals(range(41), 40)[0] == list(central_sequence(40))
@@ -218,15 +201,6 @@ def test_gf_Z_takes_one_root_at_order_minus_2_lam_plus_2(root_orders) -> None:
     assert z.order == 30
     assert z.coeffs[:10] == (0,) * 10
     assert z.coeffs[10:13] == (1, 6, 28)  # z(5, 5), z(6, 5), z(7, 5)
-
-
-def test_truncate() -> None:
-    ps = polynomial([1, 2, 3], 4)
-    assert ps.truncate(1) == polynomial([1, 2], 1)
-    assert ps.truncate(4) == ps
-    for bad in (-1, 5):
-        with pytest.raises(ValueError):
-            ps.truncate(bad)
 
 
 def test_gf_Z_rejects_negative_lambda() -> None:

@@ -6,11 +6,34 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from typing import Iterator
 
 import trinomial
 import trinomial.cli  # noqa: F401  (every module loaded, so every cache is found)
 
 PACKAGE = Path(trinomial.__file__).resolve().parent
+
+# public statements of the paper's identities, checked by their own tests and
+# called by nothing else
+PAPER_IDENTITIES = (
+    "stepwise_chain",
+    "product_swap_check",
+    "product_collapse_check",
+    "central_p_factor_series",
+    "cos_power_expansion",
+)
+
+
+def _loads(node: ast.AST, owners: tuple[str, ...] = ()) -> Iterator[tuple[str, tuple[str, ...]]]:
+    # every name read below node, with the functions and classes it is read inside
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        owners += (node.name,)
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+        yield node.id, owners
+    elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+        yield node.attr, owners
+    for child in ast.iter_child_nodes(node):
+        yield from _loads(child, owners)
 
 
 def test_package_has_no_assert_statements() -> None:
@@ -82,3 +105,19 @@ def test_the_package_keeps_four_bounded_caches(cold_caches) -> None:
         "trinomial.series.gf_Z",
     ]
     assert all(cache.cache_info().maxsize is not None for cache in cold_caches.values())
+
+
+def test_every_public_name_has_a_caller() -> None:
+    """A public helper whose only caller is its own test is not kept: each name in
+    trinomial.__all__ is read by the package outside its own definition and
+    __init__.py, or by a demo, or is one of the paper's identities."""
+    sources = [path for path in PACKAGE.glob("*.py") if path.name != "__init__.py"]
+    sources += (PACKAGE.parents[1] / "demos").glob("*.py")
+    used = {
+        name
+        for path in sources
+        for name, owners in _loads(ast.parse(path.read_text(encoding="utf-8")))
+        if name not in owners
+    }
+    assert set(PAPER_IDENTITIES) <= set(trinomial.__all__)
+    assert [name for name in trinomial.__all__ if name not in used | set(PAPER_IDENTITIES)] == []
