@@ -9,12 +9,11 @@ separately on purpose: they disagree the moment any one of them is wrong,
 which is the whole point of keeping them independent.  Each returns whole
 diagonals over a range of lam, one multiply-add over a slice of n per
 summation index, and reads its binomials as runs C(lo..hi, c) of one
-column c.  A call for more than one diagonal fills the whole table of
-columns in one pass over its rows, each row one batched exact step from
-the one before and the diagonal entry C(m, m) from char, keeps it for
-the latest max_n only, and slices whole columns.  One diagonal reads a
-few entries per n, so it builds only the runs it reads, each from one
-char and one exact step per further entry, and keeps none of them.  A
+column c, each run one char and one exact step per further entry.  A
+call for more than one diagonal builds the whole table of columns, each
+column one run from its diagonal entry C(c, c), keeps it for the latest
+max_n only, and slices whole columns.  One diagonal reads a few entries
+per n, so it builds only the runs it reads and keeps none of them.  A
 fourth route multiplies each term into the next by a rational ratio
 instead of evaluating binomials from scratch; every such step is an
 exact integer division.
@@ -60,14 +59,9 @@ def _run(c: int, lo: int, hi: int) -> list[int]:
 
 @lru_cache(maxsize=1)
 def _char_table(max_n: int) -> list[list[int]]:
-    # column c holds C(c..max_n, c), for the latest max_n only: the routes of one
-    # first_mismatch share it.  C(m, c) = C(m - 1, c) m / (m - c) for c < m fills
-    # row m from row m - 1 with one batched check; C(m, m) seeds column m
-    rows = [[char(0, 0)]]
-    for m in range(1, max_n + 1):
-        steps = div_exact_each([value * m for value in rows[-1]], range(m, 0, -1))
-        rows.append(steps + [char(m, m)])
-    return [[row[c] for row in rows[c:]] for c in range(max_n + 1)]
+    # column c is the run C(c..max_n, c), for the latest max_n only: the routes of
+    # one first_mismatch share it
+    return [_run(c, c, max_n) for c in range(max_n + 1)]
 
 
 Run = Callable[[int, int, int], list[int]]

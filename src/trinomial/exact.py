@@ -46,10 +46,10 @@ def div_exact(a: int, b: int) -> int:
 def div_exact_each(values: Sequence[int], divisors: Sequence[int]) -> list[int]:
     """[a // b for each pair], raising unless every b divides its a.
 
-    One batched pass for a whole row of exact steps, every value still
-    checked.  Raises ZeroDivisionError for a zero divisor, ExactnessError
-    naming the first value that leaves a remainder, and ValueError for
-    unequal lengths.
+    One pass for a batch of exact steps, such as one ratio step over
+    every n, every value still checked.  Raises ZeroDivisionError for a
+    zero divisor, ExactnessError naming the first value that leaves a
+    remainder, and ValueError for unequal lengths.
     """
     if len(values) != len(divisors):
         raise ValueError(f"{len(values)} values but {len(divisors)} divisors")

@@ -1,7 +1,7 @@
 """Uniform access to every route that computes a diagonal.
 
-Each route takes (lams, max_n) and returns z(0..max_n, lam) for every lam
-in the range lams, in one pass over the range.  Having one registry keeps
+Each route takes (lams, max_n), lams a range(lo, hi) of step 1, and returns
+z(0..max_n, lam) for each lam in it, in one pass.  Having one registry keeps
 the cross-checking honest: the CLI, the benchmark, and the consistency
 tests all draw from the same table, so no route can quietly drop out of
 the comparison.  No route takes another route's output.

@@ -14,11 +14,12 @@ The generating functions:
 
 so the coefficient of x^(n+lam) in Z[lam] is z(n, lam).  M is the
 Motzkin series, so z(n, lam) is [x^(n - lam)] P M^lam: the series route
-z_series_diagonals, of which gf_Z is one diagonal shifted by lam.  The
-square root is worked out one coefficient at a time from s^2 = a, with
-one exact halving each, and certified by squaring back.  P takes no
-division: 2 root root' = -2 - 6x, so P = 1/root = -root'/(1 + 3x), one
-coefficient at a time from the root's own.
+z_series_diagonals, of which gf_Z is one diagonal shifted by lam and
+gf_P the diagonal lam = 0.  The square root is worked out one
+coefficient at a time from s^2 = a, with one exact halving each, and
+certified by squaring back.  P and M are read off the root: P needs no
+division, as 2 root root' = -2 - 6x gives P = 1/root = -root'/(1 + 3x),
+and M_k = -r_(k+2)/2 is one exact halving each.
 """
 
 from __future__ import annotations
@@ -212,13 +213,11 @@ def polynomial(coeffs: Sequence[int], order: int) -> PowerSeries:
 # the generating functions themselves
 
 
-def _root_and_nu(order: int) -> tuple[PowerSeries, PowerSeries]:
-    """sqrt(1 - 2x - 3x^2) and nu from it; the slices keep orders 0 and 1 legal."""
-    root = polynomial([1, -2, -3][: order + 1], order).sqrt()
-    nu = (polynomial([1, -1][: order + 1], order) - root) / 2
-    if any(nu.coeffs[:2]):
-        raise ExactnessError(f"nu does not start at x^2: {nu}")
-    return root, nu
+def _root_and_m(order: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """sqrt(1 - 2x - 3x^2) to x^order, and M = nu / x^2 to x^(order - 2) from it:
+    M_k = -r_(k+2) / 2, one exact halving each; the slice keeps orders 0 and 1 legal."""
+    root = polynomial([1, -2, -3][: order + 1], order).sqrt().coeffs
+    return root, tuple([div_exact(-r, 2) for r in root[2:]])
 
 
 def _p_from_root(root: tuple[int, ...], order: int) -> tuple[int, ...]:
@@ -233,14 +232,12 @@ def _p_from_root(root: tuple[int, ...], order: int) -> tuple[int, ...]:
 
 def gf_P(order: int) -> PowerSeries:
     """P = 1 / sqrt(1 - 2x - 3x^2); coefficient of x^n is p(n)."""
-    if order < 0:
-        raise ValueError(f"order must be >= 0, got {order}")
-    return PowerSeries(_p_from_root(_root_and_nu(order + 1)[0].coeffs, order))
+    return gf_Z(0, order)
 
 
 def gf_nu(order: int) -> PowerSeries:
-    """nu = (1 - x - sqrt(1 - 2x - 3x^2)) / 2; starts at x^2."""
-    return _root_and_nu(order)[1]
+    """nu = (1 - x - sqrt(1 - 2x - 3x^2)) / 2 = x^2 M; starts at x^2."""
+    return PowerSeries(((0, 0) + _root_and_m(order)[1])[: order + 1])
 
 
 def z_series_diagonals(lams: range, max_n: int) -> list[list[int]]:
@@ -251,8 +248,8 @@ def z_series_diagonals(lams: range, max_n: int) -> list[list[int]]:
     one more factor of M at one order less, on the bare coefficients.
     Past max_n, all is 0.
     """
-    if max_n < 0 or lams.start < 0:
-        raise ValueError(f"need max_n >= 0 and lam >= 0, got {max_n} and {lams.start}")
+    if max_n < 0 or lams.start < 0 or lams.step != 1:  # each next diagonal is one more M
+        raise ValueError(f"need max_n >= 0 and range(lo >= 0, hi), got {max_n} and {lams}")
     rows = []
     q = m = None
     for lam in lams:
@@ -260,10 +257,9 @@ def z_series_diagonals(lams: range, max_n: int) -> list[list[int]]:
         if depth < 0:
             rows.append([0] * (max_n + 1))
             continue
-        if q is None:  # P and M = nu / x^2 to x^depth, from one root
-            root, nu = _root_and_nu(depth + 2)
-            m = nu.coeffs[2:]
-            q = _p_from_root(root.coeffs, depth)
+        if q is None:  # P and M to x^depth, from one root
+            root, m = _root_and_m(depth + 2)
+            q = _p_from_root(root, depth)
             if lam:
                 q = (PowerSeries(m) ** lam * PowerSeries(q)).coeffs
         else:

@@ -147,14 +147,19 @@ def test_single_diagonals_in_any_order_keep_no_table() -> None:
     assert diagonal_sums._char_table.cache_info().currsize == 0
 
 
-def test_range_calls_fill_the_table_by_rows_and_read_no_runs(char_calls, exact_steps, monkeypatch) -> None:
-    def refuse(c: int, lo: int, hi: int) -> None:
-        raise AssertionError("a range call slices whole columns")
+def test_range_calls_build_each_column_as_one_run(char_calls, exact_steps, monkeypatch) -> None:
+    runs = []
+    run = diagonal_sums._run
 
-    monkeypatch.setattr(diagonal_sums, "_run", refuse)
+    def recording(c: int, lo: int, hi: int) -> list[int]:
+        runs.append((c, lo, hi))
+        return run(c, lo, hi)
+
+    monkeypatch.setattr(diagonal_sums, "_run", recording)
     want = [[_z_comb(n, lam) for n in range(41)] for lam in range(41)]
     for form in (z_sum_form1, z_sum_form2, z_sum_form3, z_ratio_diagonals):
         assert form(range(41), 40) == want, form.__name__
+    assert runs == [(c, c, 40) for c in range(41)]  # the table, once; the kernels slice it
     assert char_calls == [(c, c) for c in range(41)]  # each column seeded at its diagonal
     table = diagonal_sums._char_table(40)
     assert table == [[math.comb(m, c) for m in range(c, 41)] for c in range(41)]
@@ -179,16 +184,26 @@ def _corrupting(monkeypatch, call: int, position: int) -> None:
 @pytest.mark.parametrize("form", [z_sum_form1, z_sum_form2, z_sum_form3, z_ratio_diagonals])
 @pytest.mark.parametrize("row,position", [(2, 0), (9, 4), (20, 18)])
 def test_a_corrupted_table_row_raises(monkeypatch, form, row, position) -> None:
-    # row m is divided by m, m - 1, ..., 1; every position here has a divisor of 2 or more
-    _corrupting(monkeypatch, row, position)
+    # C(row, position) is the step C(row - 1, position) row / (row - position) up column
+    # `position`; its numerator comes in one too high, and every divisor here is 2 or more
+    step = (math.comb(row - 1, position) * row, row - position)
+    corrupted = []
+
+    def corrupting(a: int, b: int) -> int:
+        if (a, b) == step and not corrupted:
+            corrupted.append(step)
+            a += 1
+        return div_exact(a, b)
+
+    monkeypatch.setattr(diagonal_sums, "div_exact", corrupting)
     with pytest.raises(ExactnessError):
         form(range(21), 20)
+    assert corrupted == [step]
 
 
 @pytest.mark.parametrize("step,position", [(1, 0), (5, 3), (8, 2)])
 def test_a_corrupted_ratio_step_raises(monkeypatch, step, position) -> None:
-    # the table's 20 rows come first; each ratio step of lam >= 1 divides by 2 or more
-    diagonal_sums._char_table(20)
+    # div_exact_each serves the ratio steps only; each of lam >= 1 divides by 2 or more
     _corrupting(monkeypatch, step, position)
     with pytest.raises(ExactnessError):
         z_ratio_diagonals(range(1, 21), 20)

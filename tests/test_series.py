@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import functools
 import inspect
+import re
 import sys
 from fractions import Fraction
 
@@ -160,6 +161,57 @@ def test_z_series_diagonals_step_by_the_motzkin_series_from_one_root(root_orders
     assert root_orders == [13]
     assert z_series_diagonals(range(0, 2), 0) == [[1], [0]]
     assert root_orders == [13, 2]
+
+
+def test_z_series_diagonals_refuses_a_range_of_another_step() -> None:
+    # each further diagonal is one more factor of M, so lams must step by 1
+    tri = build_triangle(8)
+    assert z_series_diagonals(range(0, 7), 8)[2] == [tri.coeff(n, n + 2) for n in range(9)]
+    for lams in (range(0, 7, 2), range(6, -1, -1), range(3, -2, -1)):
+        with pytest.raises(ValueError, match=re.escape(repr(lams))):
+            z_series_diagonals(lams, 8)
+
+
+def test_series_route_reads_m_off_the_root_by_one_halving_each(monkeypatch) -> None:
+    halvings: list[tuple[int, int]] = []
+    div_exact = series.div_exact
+
+    def counting(a: int, b: int) -> int:
+        halvings.append((a, b))
+        return div_exact(a, b)
+
+    def refuse(self: PowerSeries, other: object) -> None:
+        raise AssertionError("nu needs no series subtraction or division")
+
+    monkeypatch.setattr(series, "div_exact", counting)
+    monkeypatch.setattr(PowerSeries, "__sub__", refuse)
+    monkeypatch.setattr(PowerSeries, "__truediv__", refuse)
+    tri = build_triangle(30)
+    want = [[tri.coeff(n, n + lam) for n in range(31)] for lam in range(31)]
+    assert z_series_diagonals(range(31), 30) == want
+    # the root to x^32 takes 32 halvings, and M to x^30 one more each
+    assert len(halvings) == 32 + 31
+    assert {b for _, b in halvings} == {2}
+    halvings.clear()
+    assert gf_nu(9).coeffs == (0, 0, 1, 1, 2, 4, 9, 21, 51, 127)
+    assert len(halvings) == 9 + 8
+
+
+def test_a_root_with_a_wrong_x1_coefficient_fails_its_certificate(monkeypatch) -> None:
+    # sqrt's first halving gives r_1 = -1, which makes nu_0 = nu_1 = 0; moving it by 2
+    # keeps every later halving exact, so only the squaring certificate can catch it
+    halvings: list[int] = []
+    div_exact = series.div_exact
+
+    def shifted(a: int, b: int) -> int:
+        halvings.append(a)
+        return div_exact(a, b) + (2 if len(halvings) == 1 else 0)
+
+    monkeypatch.setattr(series, "div_exact", shifted)
+    for build in (lambda: gf_nu(12), lambda: z_series_diagonals(range(3), 12), lambda: gf_P(12)):
+        halvings.clear()
+        with pytest.raises(ExactnessError, match="certification"):
+            build()
 
 
 def test_nu_functional_equation_order_60() -> None:

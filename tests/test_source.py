@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import ast
+import doctest
+import importlib
 import os
 import re
 import subprocess
@@ -109,8 +111,9 @@ def test_the_package_keeps_four_bounded_caches(cold_caches) -> None:
 
 def test_every_public_name_has_a_caller() -> None:
     """A public helper whose only caller is its own test is not kept: each name in
-    trinomial.__all__ is read by the package outside its own definition and
-    __init__.py, or by a demo, or is one of the paper's identities."""
+    the __all__ of trinomial and of each of its modules is read by the package
+    outside its own definition and __init__.py, or by a demo, or is one of the
+    paper's identities."""
     sources = [path for path in PACKAGE.glob("*.py") if path.name != "__init__.py"]
     sources += (PACKAGE.parents[1] / "demos").glob("*.py")
     used = {
@@ -119,5 +122,23 @@ def test_every_public_name_has_a_caller() -> None:
         for name, owners in _loads(ast.parse(path.read_text(encoding="utf-8")))
         if name not in owners
     }
-    assert set(PAPER_IDENTITIES) <= set(trinomial.__all__)
-    assert [name for name in trinomial.__all__ if name not in used | set(PAPER_IDENTITIES)] == []
+    modules = [trinomial] + [
+        importlib.import_module(f"trinomial.{path.stem}")
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "__init__.py"
+    ]
+    public = [(m.__name__, name) for m in modules for name in getattr(m, "__all__", ())]
+    assert len(modules) > 5 and set(PAPER_IDENTITIES) <= set(trinomial.__all__)
+    assert [pair for pair in public if pair[1] not in used | set(PAPER_IDENTITIES)] == []
+
+
+def test_readme_python_blocks_run_as_doctests() -> None:
+    """Each ```python block of README.md, run as a doctest, prints what it shows."""
+    readme = (PACKAGE.parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme, re.MULTILINE | re.DOTALL)
+    parser, runner = doctest.DocTestParser(), doctest.DocTestRunner()
+    for index, block in enumerate(blocks):
+        runner.run(parser.get_doctest(block, {}, f"README.md[{index}]", "README.md", 0))
+    failed, attempted = runner.summarize(verbose=False)
+    assert blocks and attempted > 0
+    assert failed == 0
