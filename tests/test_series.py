@@ -107,15 +107,21 @@ def test_sqrt_without_integer_root_raises() -> None:
         polynomial([1, 1], 8).sqrt()
 
 
-def test_sqrt_takes_one_exact_halving_per_coefficient(monkeypatch) -> None:
-    halvings: list[tuple[int, int]] = []
+@pytest.fixture
+def halvings(monkeypatch) -> list[tuple[int, int]]:
+    """Every (a, b) the series module divides exactly from here on."""
+    calls: list[tuple[int, int]] = []
     div_exact = series.div_exact
 
     def counting(a: int, b: int) -> int:
-        halvings.append((a, b))
+        calls.append((a, b))
         return div_exact(a, b)
 
     monkeypatch.setattr(series, "div_exact", counting)
+    return calls
+
+
+def test_sqrt_takes_one_exact_halving_per_coefficient(halvings) -> None:
     polynomial([1, -2, -3], 40).sqrt()
     assert len(halvings) == 40
     assert {b for _, b in halvings} == {2}
@@ -172,18 +178,10 @@ def test_z_series_diagonals_refuses_a_range_of_another_step() -> None:
             z_series_diagonals(lams, 8)
 
 
-def test_series_route_reads_m_off_the_root_by_one_halving_each(monkeypatch) -> None:
-    halvings: list[tuple[int, int]] = []
-    div_exact = series.div_exact
-
-    def counting(a: int, b: int) -> int:
-        halvings.append((a, b))
-        return div_exact(a, b)
-
+def test_series_route_reads_m_off_the_root_by_one_halving_each(monkeypatch, halvings) -> None:
     def refuse(self: PowerSeries, other: object) -> None:
         raise AssertionError("nu needs no series subtraction or division")
 
-    monkeypatch.setattr(series, "div_exact", counting)
     monkeypatch.setattr(PowerSeries, "__sub__", refuse)
     monkeypatch.setattr(PowerSeries, "__truediv__", refuse)
     tri = build_triangle(30)
