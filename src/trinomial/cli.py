@@ -267,7 +267,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ExactnessError as exc:  # a bug in the package, not bad input
         print(f"integrality error: {exc}", file=sys.stderr)
         return 4
-    except (ValueError, IndexError, ZeroDivisionError, ArithmeticError) as exc:
+    except (ValueError, ZeroDivisionError) as exc:  # ZeroDivisionError: a 1/0 literal
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except quadrature.QuadratureError as exc:

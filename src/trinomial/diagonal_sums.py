@@ -49,8 +49,6 @@ def _check_indices(n: int, lam: int) -> None:
 def _run(c: int, lo: int, hi: int) -> list[int]:
     # C(lo..hi, c) for c <= lo: C(lo, c) from char, then C(m + 1, c) = C(m, c)(m + 1)
     # / (m + 1 - c), one exact step per entry
-    if lo > hi:
-        return []
     values = [char(lo, c)]
     for m in range(lo, hi):
         values.append(div_exact(values[-1] * (m + 1), m + 1 - c))
@@ -144,8 +142,7 @@ def z_sum_form3(lams: range, max_n: int) -> list[list[int]]:
 
 def _ratio_step(numerators: list[int], lam: int, a: int) -> list[int]:
     # term a + 1 of z(n, lam) from term a times u(u - 1), u = n - 2a - lam
-    d = (a + 1) * (lam + a + 1)
-    return div_exact_each(numerators, [d] * len(numerators))
+    return div_exact_each(numerators, (a + 1) * (lam + a + 1))
 
 
 def z_term_ratio(n: int, lam: int) -> tuple[int, list[int]]:

@@ -19,6 +19,7 @@ z[lam+1](n) = z[lam](n+1) - z[lam](n) - z[lam-1](n).
 
 from __future__ import annotations
 
+from itertools import islice
 from operator import sub
 from typing import Sequence
 
@@ -53,11 +54,12 @@ def z_delta_diagonals(lams: range, max_n: int) -> list[list[int]]:
     """z(0..max_n, lam) for each lam in lams by the Delta expansion.
 
     One pass over the orders k = 0..top, top the largest lam <= max_n:
-    Delta^k p(0..max_n) is added, times its coefficient, into the doubled
+    Delta^k p(lam..max_n) is added, times its coefficient, into the doubled
     diagonal of each lam >= k of the same parity, and Delta^(k+1) is then
-    taken from it.  Each doubled diagonal is checked to be even and
-    halved.  lam = 0 is the central column itself; a lam past max_n is all
-    zeros and builds no central column.
+    taken from it.  Below n = lam a diagonal is zero and is not computed.
+    Each doubled diagonal is checked to be even and halved.  lam = 0 is
+    the central column itself; a lam past max_n is all zeros and builds
+    no central column.
     """
     if max_n < 0:
         raise ValueError(f"max_n must be >= 0, got {max_n}")
@@ -70,21 +72,21 @@ def z_delta_diagonals(lams: range, max_n: int) -> list[list[int]]:
     row = list(central_sequence(max_n + top))
     center = row[: max_n + 1]
     coeffs = {lam: delta_expansion_coefficients(lam) for lam in alive if lam}
-    doubled = {lam: [0] * (max_n + 1) for lam in coeffs}
+    doubled = {lam: [0] * (max_n + 1 - lam) for lam in coeffs}  # n = lam..max_n only
     for k in range(top + 1):
         if k:
             row = list(map(sub, row[1:], row))
         for lam in range(k or 2, top + 1, 2):  # lam >= k, lam = k mod 2, lam >= 1
             if lam in doubled:
                 c = coeffs[lam][(lam - k) // 2]
-                doubled[lam] = [d + c * v for d, v in zip(doubled[lam], row)]
+                doubled[lam] = [d + c * v for d, v in zip(doubled[lam], islice(row, lam, None))]
     for lam, values in doubled.items():
-        for n, value in enumerate(values):
+        for n, value in enumerate(values, lam):
             if value & 1:
                 raise ExactnessError(
                     f"Delta expansion for lam={lam}, n={n} gave odd value {value}"
                 )
-        doubled[lam] = [value >> 1 for value in values]
+        doubled[lam] = [0] * lam + [value >> 1 for value in values]
     return [
         center if lam == 0 else doubled[lam] if lam in doubled else [0] * (max_n + 1)
         for lam in lams

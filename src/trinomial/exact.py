@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import repeat
 from operator import floordiv, mod
 from typing import Sequence
 
@@ -43,20 +44,18 @@ def div_exact(a: int, b: int) -> int:
     return q
 
 
-def div_exact_each(values: Sequence[int], divisors: Sequence[int]) -> list[int]:
-    """[a // b for each pair], raising unless every b divides its a.
+def div_exact_each(values: Sequence[int], divisor: int) -> list[int]:
+    """[a // divisor for each a], raising unless divisor divides every a.
 
     One pass for a batch of exact steps, such as one ratio step over
     every n, every value still checked.  Raises ZeroDivisionError for a
-    zero divisor, ExactnessError naming the first value that leaves a
-    remainder, and ValueError for unequal lengths.
+    zero divisor and ExactnessError naming the first value that leaves a
+    remainder.
     """
-    if len(values) != len(divisors):
-        raise ValueError(f"{len(values)} values but {len(divisors)} divisors")
-    if any(map(mod, values, divisors)):
-        a, b = next((a, b) for a, b in zip(values, divisors) if a % b)
-        raise ExactnessError(f"{a} is not divisible by {b}")
-    return list(map(floordiv, values, divisors))
+    if any(map(mod, values, repeat(divisor))):
+        a = next(a for a in values if a % divisor)
+        raise ExactnessError(f"{a} is not divisible by {divisor}")
+    return list(map(floordiv, values, repeat(divisor)))
 
 
 def parse_rational(text: str) -> Fraction:

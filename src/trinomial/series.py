@@ -103,18 +103,11 @@ class PowerSeries:
                 "build both series at one order"
             )
 
-    # -- ring operations ----------------------------------------------------
-
-    def __add__(self, other: PowerSeries) -> PowerSeries:
-        self._match(other)
-        return PowerSeries(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+    # -- arithmetic ---------------------------------------------------------
 
     def __sub__(self, other: PowerSeries) -> PowerSeries:
         self._match(other)
         return PowerSeries(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self) -> PowerSeries:
-        return PowerSeries(tuple(-a for a in self.coeffs))
 
     def __mul__(self, other: Union[PowerSeries, int]) -> PowerSeries:
         if isinstance(other, PowerSeries):

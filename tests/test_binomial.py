@@ -58,6 +58,16 @@ def test_product_checks_out_of_range_indices() -> None:
     assert product_collapse_check(2, 2, 2)
     with pytest.raises(ValueError):
         product_swap_check(3, -1, 0)
+    with pytest.raises(ValueError):
+        product_collapse_check(3, 0, -1)
+
+
+def test_a_dead_first_factor_never_reads_a_negative_upper_index() -> None:
+    # alpha > n: char(n, alpha) = 0, and char(n - alpha, .) would raise on its own
+    with pytest.raises(ValueError):
+        char(-2, 0)
+    assert product_swap_check(3, 5, 0)
+    assert product_collapse_check(3, 5, 1)
 
 
 def test_char_cache_is_bounded_and_holds_one_max_n_300_table() -> None:

@@ -112,6 +112,20 @@ def test_deep_series_diagonal_and_gf_take_no_root(capsys, root_orders) -> None:
     assert root_orders == []
 
 
+def test_crosscheck_mismatch_exits_one_on_stderr(capsys, monkeypatch) -> None:
+    ratio = methods._METHODS["ratio"]
+
+    def one_wrong(lams: range, max_n: int) -> list[list[int]]:
+        rows = ratio(lams, max_n)
+        rows[3][5] += 1  # z(5, 3) = 15
+        return rows
+
+    monkeypatch.setitem(methods._METHODS, "ratio", one_wrong)
+    code, out, err = _run(capsys, "crosscheck", "--max-n", "8")
+    assert (code, out) == (1, "")
+    assert err == "MISMATCH: method ratio at lam=3, n=5: got 16, oracle says 15\n"
+
+
 def test_crosscheck_negative_max_n_exits_two(capsys) -> None:
     code, out, err = _run(capsys, "crosscheck", "--max-n", "-1")
     assert code == 2
@@ -181,6 +195,7 @@ def test_quad_missing_arguments(capsys) -> None:
     code, _, err = _run(capsys, "quad", "--kind", "z", "--n", "6")
     assert code == 2
     assert "error" in err
+    assert _run(capsys, "quad", "--kind", "gf") == (2, "", "error: quad --kind gf needs --x\n")
 
 
 def test_quad_domain_error_exit(capsys) -> None:
@@ -193,6 +208,19 @@ def test_identity_ok(capsys) -> None:
     code, out, _ = _run(capsys, "identity", "--b", "3/10", "--lambda-max", "4")
     assert code == 0
     assert out.count("ok") == 6  # five closed-form lines plus the chain
+
+
+def test_identity_failure_exits_one(capsys, monkeypatch) -> None:
+    monkeypatch.setattr(quadrature, "b_identity_check", lambda b, lam, tol: lam != 2)
+    code, out, _ = _run(capsys, "identity", "--b", "3/10", "--lambda-max", "3")
+    assert code == 1
+    assert out.splitlines() == [
+        "closed form, lam=0: ok",
+        "closed form, lam=1: ok",
+        "closed form, lam=2: FAILED",
+        "closed form, lam=3: ok",
+        "reduction chain to lam=3: ok",
+    ]
 
 
 def test_row_and_quad_z_build_only_one_row(capsys, monkeypatch) -> None:

@@ -109,9 +109,9 @@ def exact_steps(monkeypatch) -> list[tuple[int, int]]:
         calls.append((a, b))
         return div_exact(a, b)
 
-    def counting_each(values: list[int], divisors: list[int]) -> list[int]:
-        calls.extend(zip(values, divisors))
-        return div_exact_each(values, divisors)
+    def counting_each(values: list[int], divisor: int) -> list[int]:
+        calls.extend((a, divisor) for a in values)
+        return div_exact_each(values, divisor)
 
     monkeypatch.setattr(diagonal_sums, "div_exact", counting)
     monkeypatch.setattr(diagonal_sums, "div_exact_each", counting_each)
@@ -171,12 +171,12 @@ def _corrupting(monkeypatch, call: int, position: int) -> None:
     # numerator `position` of the call-th batch diagonal_sums divides comes in one too high
     calls = []
 
-    def corrupted(values: list[int], divisors: list[int]) -> list[int]:
+    def corrupted(values: list[int], divisor: int) -> list[int]:
         calls.append(None)
         if len(calls) == call:
             values = list(values)
             values[position] += 1
-        return div_exact_each(values, divisors)
+        return div_exact_each(values, divisor)
 
     monkeypatch.setattr(diagonal_sums, "div_exact_each", corrupted)
 

@@ -75,13 +75,13 @@ def test_delta_expansion_matches_surd_binomial_expansion() -> None:
         w2 = polynomial([-4, 0, 1], order)  # x^2 - 4
         for j in range(0, lam + 1, 2):
             term = polynomial([0] * (lam - j) + [2 * math.comb(lam, j)], order)
-            acc = acc + term * (w2 ** (j // 2))
-        acc = acc / 2**lam
+            acc = acc - term * (w2 ** (j // 2))
+        acc = acc / -(2**lam)
         coeffs = delta_expansion_coefficients(lam)
-        expected = polynomial([0], order)
+        expected = [0] * (order + 1)
         for j, c in enumerate(coeffs):
-            expected = expected + polynomial([0] * (lam - 2 * j) + [c], order)
-        assert acc == expected, lam
+            expected[lam - 2 * j] += c
+        assert acc.coeffs == tuple(expected), lam
 
 
 def test_z_from_differences_disambiguation() -> None:
@@ -111,10 +111,26 @@ def test_whole_ranges_to_max_n_60_match_oracle() -> None:
         assert z_delta_diagonals(range(max_n + 3), max_n) == expected, max_n
 
 
+def test_delta_expansion_is_zero_below_each_diagonal() -> None:
+    # the route adds into n >= lam only; the full expansion at every n of 0..40 is
+    # 2 z(n, lam), so 0 below the diagonal
+    p = central_sequence(80)
+    orders = [list(p)]
+    for _ in range(40):
+        orders.append([b - a for a, b in zip(orders[-1], orders[-1][1:])])
+    tri = build_triangle(40)
+    for lam in range(1, 41):
+        coeffs = delta_expansion_coefficients(lam)
+        full = [sum(c * orders[lam - 2 * j][n] for j, c in enumerate(coeffs)) for n in range(41)]
+        assert full[:lam] == [0] * lam, lam
+        assert full == [2 * tri.coeff(n, n + lam) for n in range(41)], lam
+
+
 def test_z_from_differences_errors(monkeypatch) -> None:
     # a base that is not the central column breaks the parity guarantee
-    monkeypatch.setattr(differences, "central_sequence", lambda max_n: (1, 2, 4, 8, 16)[: max_n + 1])
-    with pytest.raises(ExactnessError, match="lam=2, n=0"):
+    # at an n >= lam: the route computes no n below the diagonal
+    monkeypatch.setattr(differences, "central_sequence", lambda max_n: (1, 2, 4, 8, 17)[: max_n + 1])
+    with pytest.raises(ExactnessError, match="lam=2, n=2"):
         z_delta_diagonals(range(2, 3), 2)
 
 
@@ -141,5 +157,7 @@ def test_stepwise_chain_errors() -> None:
         stepwise_chain(p, 3, 4)  # needs p(0..7)
     with pytest.raises(ValueError):
         stepwise_chain(p, 0, 3)
+    with pytest.raises(ValueError):
+        stepwise_chain(p, 1, -1)
     with pytest.raises(ExactnessError):
         stepwise_chain([1, 2, 3, 4], 1, 2)

@@ -218,6 +218,35 @@ def test_b_reduction_chain() -> None:
     assert b_reduction_chain_check(0.9999, 8)
     with pytest.raises(ValueError):
         b_reduction_chain_check(0.3, 0)
+    for b in (0.0, 1.0, -0.5):
+        with pytest.raises(ValueError):
+            b_reduction_chain_check(b, 2)
+
+
+@pytest.mark.parametrize("lam", [0, 1, 3])
+def test_b_reduction_chain_fails_on_one_perturbed_integral(monkeypatch, lam: int) -> None:
+    # I(0) fails its closed form, I(1) the anchor (1 + b^2) I(0) - 2b I(1) = pi, and a
+    # middle I(lam) the three-term step into it
+    poisson = quadrature._poisson_integral
+
+    def perturbed(b: float, k: int, tol: float, scale: float) -> QuadratureResult:
+        result = poisson(b, k, tol, scale)
+        return result._replace(value=result.value + (1e-6 if k == lam else 0.0))
+
+    monkeypatch.setattr(quadrature, "_poisson_integral", perturbed)
+    assert not b_reduction_chain_check(0.5, 5)
+
+
+def test_gf_by_integral_raises_when_it_misses_the_closed_form(monkeypatch) -> None:
+    mapped = quadrature._mapped_integral
+
+    def off(*args: float) -> QuadratureResult:
+        result = mapped(*args)
+        return result._replace(value=result.value * (1 + 1e-6))
+
+    monkeypatch.setattr(quadrature, "_mapped_integral", off)
+    with pytest.raises(QuadratureError, match="vs closed form"):
+        gf_by_integral(0.25)
 
 
 def test_cos_power_expansion_small_cases() -> None:

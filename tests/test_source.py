@@ -1,10 +1,13 @@
 from __future__ import annotations
 
 import ast
+import contextlib
 import doctest
 import importlib
+import io
 import os
 import re
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -12,8 +15,11 @@ from typing import Iterator
 
 import trinomial
 import trinomial.cli  # noqa: F401  (every module loaded, so every cache is found)
+from trinomial import methods, quadrature, triangle
+from trinomial.series import PowerSeries
 
 PACKAGE = Path(trinomial.__file__).resolve().parent
+DEMOS = sorted((PACKAGE.parents[1] / "demos").glob("*.py"))
 
 # public statements of the paper's identities, checked by their own tests and
 # called by nothing else
@@ -25,15 +31,31 @@ PAPER_IDENTITIES = (
     "cos_power_expansion",
 )
 
+CLASSES = (PowerSeries, triangle.TrinomialTriangle, quadrature.QuadratureResult)
 
-def _loads(node: ast.AST, owners: tuple[str, ...] = ()) -> Iterator[tuple[str, tuple[str, ...]]]:
-    # every name read below node, with the functions and classes it is read inside
+# PowerSeries dunders kept without a caller in the package or the demos, each for
+# its reason
+UNCOUNTED_OPERATORS = {
+    "__init__": "builds and checks every series",
+    "__eq__": "series are values: two with one coefficient tuple are equal",
+    "__hash__": "equal series hash alike, as a value type must",
+    "__repr__": "the unambiguous form a failing test or a debugger shows",
+    "__setattr__": "immutability guard",
+    "__delattr__": "immutability guard",
+    "__truediv__": "perfbench's tracer counts it by name as series.div_calls",
+    "__rmul__": "perfbench's tracer counts it by name as series.mul_calls",
+}
+
+
+def _loads(node: ast.AST, owners: tuple[str, ...] = ()) -> Iterator[tuple[ast.AST, str, tuple[str, ...]]]:
+    # every name and attribute read below node, with the functions and classes it is
+    # read inside
     if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
         owners += (node.name,)
     if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-        yield node.id, owners
+        yield node, node.id, owners
     elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-        yield node.attr, owners
+        yield node, node.attr, owners
     for child in ast.iter_child_nodes(node):
         yield from _loads(child, owners)
 
@@ -109,19 +131,25 @@ def test_the_package_keeps_four_bounded_caches(cold_caches) -> None:
     assert all(cache.cache_info().maxsize is not None for cache in cold_caches.values())
 
 
+def _read_names(kinds: tuple[type, ...] = (ast.Name, ast.Attribute)) -> set[str]:
+    # every name or attribute the package (outside __init__.py) or a demo reads,
+    # each outside the function or class that defines it
+    sources = [path for path in PACKAGE.glob("*.py") if path.name != "__init__.py"]
+    sources += DEMOS
+    return {
+        name
+        for path in sources
+        for node, name, owners in _loads(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, kinds) and name not in owners
+    }
+
+
 def test_every_public_name_has_a_caller() -> None:
     """A public helper whose only caller is its own test is not kept: each name in
     the __all__ of trinomial and of each of its modules is read by the package
     outside its own definition and __init__.py, or by a demo, or is one of the
     paper's identities."""
-    sources = [path for path in PACKAGE.glob("*.py") if path.name != "__init__.py"]
-    sources += (PACKAGE.parents[1] / "demos").glob("*.py")
-    used = {
-        name
-        for path in sources
-        for name, owners in _loads(ast.parse(path.read_text(encoding="utf-8")))
-        if name not in owners
-    }
+    used = _read_names()
     modules = [trinomial] + [
         importlib.import_module(f"trinomial.{path.stem}")
         for path in sorted(PACKAGE.glob("*.py"))
@@ -130,6 +158,43 @@ def test_every_public_name_has_a_caller() -> None:
     public = [(m.__name__, name) for m in modules for name in getattr(m, "__all__", ())]
     assert len(modules) > 5 and set(PAPER_IDENTITIES) <= set(trinomial.__all__)
     assert [pair for pair in public if pair[1] not in used | set(PAPER_IDENTITIES)] == []
+
+
+def test_every_public_class_member_has_a_reader() -> None:
+    """The named public members (methods, properties, fields) of the package's
+    classes are read as attributes, found the way the module-level names are."""
+    used = _read_names((ast.Attribute,))
+    members = [
+        (cls.__name__, name) for cls in CLASSES for name in vars(cls) if not name.startswith("_")
+    ]
+    assert ("PowerSeries", "sqrt") in members and ("TrinomialTriangle", "coeff") in members
+    assert [pair for pair in members if pair[1] not in used] == []
+
+
+def test_every_series_operator_runs_in_the_demos_or_the_series_route(monkeypatch) -> None:
+    """An operator is a dunder method, read by no attribute load, so each one is
+    counted while the demos and the series route run, and each must run."""
+    members = vars(PowerSeries)
+    assert set(UNCOUNTED_OPERATORS) <= set(members)
+    calls = {
+        name: 0
+        for name, member in members.items()
+        if name.startswith("__") and callable(member) and name not in UNCOUNTED_OPERATORS
+    }
+    for name in calls:
+
+        def counting(*args: object, _name: str = name, _operator=members[name]) -> object:
+            calls[_name] += 1
+            return _operator(*args)
+
+        monkeypatch.setattr(PowerSeries, name, counting)
+    with contextlib.redirect_stdout(io.StringIO()):
+        for demo in DEMOS:
+            runpy.run_path(str(demo), run_name="__main__")
+    for lams in (range(0, 9), range(3, 6)):
+        methods._METHODS["series"](lams, 8)
+    assert {"__sub__", "__mul__", "__pow__", "__str__"} <= set(calls)
+    assert [name for name, count in calls.items() if not count] == []
 
 
 def test_readme_python_blocks_run_as_doctests() -> None:

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trinomial.recurrences import central_sequence
-from trinomial.triangle import build_triangle, leading_term_check
+from trinomial.triangle import TrinomialTriangle, build_triangle, leading_term_check
 
 FIRST_ROWS = [
     (1,),
@@ -83,4 +83,13 @@ def test_leading_terms_to_64() -> None:
     tri = build_triangle(64)
     for n in range(65):
         assert leading_term_check(tri, n)
+
+
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_leading_terms_catch_one_altered_entry(k: int) -> None:
+    rows = list(build_triangle(9).rows)
+    rows[9] = rows[9][:k] + (rows[9][k] + 1,) + rows[9][k + 1 :]
+    altered = TrinomialTriangle(tuple(rows))
+    assert leading_term_check(altered, 8)
+    assert not leading_term_check(altered, 9)
 
