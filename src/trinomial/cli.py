@@ -267,7 +267,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ExactnessError as exc:  # a bug in the package, not bad input
         print(f"integrality error: {exc}", file=sys.stderr)
         return 4
-    except (ValueError, ZeroDivisionError) as exc:  # ZeroDivisionError: a 1/0 literal
+    except ValueError as exc:  # bad input; any other error is a bug and raises
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except quadrature.QuadratureError as exc:

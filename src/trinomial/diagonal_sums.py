@@ -24,7 +24,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import repeat
 from operator import add, mul
-from typing import Callable
+from typing import Callable, Iterator
 
 from .binomial import char
 from .exact import div_exact, div_exact_each
@@ -82,12 +82,19 @@ def _diagonals(kernel: Callable[[int, int, Run], list[int]], lams: range, max_n:
 # acc[start:] = z(start..max_n, lam) with one map over the slice.  The factors span
 # that slice exactly, so a single diagonal's run starts where char is cheapest, at
 # the lowest m the sum reads.
+def _products(run: Run, c: int, d: int, start: int, max_n: int) -> Iterator[int]:
+    # C(c..c + max_n - start, c) C(start..max_n, d), entry by entry
+    if c == d:  # lam = 0: both factors read column c, so it is built once
+        column = run(c, c, max_n)
+        return map(mul, column, column[start - c :])
+    return map(mul, run(c, c, c + max_n - start), run(d, start, max_n))
+
+
 def _form1(lam: int, max_n: int, run: Run) -> list[int]:
     acc = [0] * (max_n + 1)
     for a in range((max_n - lam) // 2 + 1):  # until lam + 2a > max_n
         start = lam + 2 * a
-        products = map(mul, run(lam + a, lam + a, max_n - a), run(a, start, max_n))
-        acc[start:] = map(add, acc[start:], products)
+        acc[start:] = map(add, acc[start:], _products(run, lam + a, a, start, max_n))
     return acc
 
 
@@ -106,8 +113,7 @@ def _form2(lam: int, max_n: int, run: Run) -> list[int]:
     for j in range(lam, max_n + 1):  # j = lam + k, until j > max_n
         k = j - lam
         if j + k <= max_n:  # the second factor is zero below n = j + k
-            products = map(mul, run(k, k, max_n - j), run(j, j + k, max_n))
-            acc[j + k :] = map(add, acc[j + k :], products)
+            acc[j + k :] = map(add, acc[j + k :], _products(run, k, j, j + k, max_n))
     return acc
 
 

@@ -56,7 +56,8 @@ def z_delta_diagonals(lams: range, max_n: int) -> list[list[int]]:
     One pass over the orders k = 0..top, top the largest lam <= max_n:
     Delta^k p(lam..max_n) is added, times its coefficient, into the doubled
     diagonal of each lam >= k of the same parity, and Delta^(k+1) is then
-    taken from it.  Below n = lam a diagonal is zero and is not computed.
+    taken from it.  Below n = lam a diagonal is zero and is not computed,
+    and no order is taken below n = lo, the smallest lam <= max_n.
     Each doubled diagonal is checked to be even and halved.  lam = 0 is
     the central column itself; a lam past max_n is all zeros and builds
     no central column.
@@ -68,9 +69,10 @@ def z_delta_diagonals(lams: range, max_n: int) -> list[list[int]]:
     alive = [lam for lam in lams if lam <= max_n]
     if not alive:
         return [[0] * (max_n + 1) for _ in lams]
-    top = max(alive)
+    lo, top = min(alive), max(alive)
     row = list(central_sequence(max_n + top))
     center = row[: max_n + 1]
+    del row[:lo]  # every lam left reads n >= lo only
     coeffs = {lam: delta_expansion_coefficients(lam) for lam in alive if lam}
     doubled = {lam: [0] * (max_n + 1 - lam) for lam in coeffs}  # n = lam..max_n only
     for k in range(top + 1):
@@ -79,7 +81,7 @@ def z_delta_diagonals(lams: range, max_n: int) -> list[list[int]]:
         for lam in range(k or 2, top + 1, 2):  # lam >= k, lam = k mod 2, lam >= 1
             if lam in doubled:
                 c = coeffs[lam][(lam - k) // 2]
-                doubled[lam] = [d + c * v for d, v in zip(doubled[lam], islice(row, lam, None))]
+                doubled[lam] = [d + c * v for d, v in zip(doubled[lam], islice(row, lam - lo, None))]
     for lam, values in doubled.items():
         for n, value in enumerate(values, lam):
             if value & 1:

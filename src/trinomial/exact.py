@@ -59,7 +59,7 @@ def div_exact_each(values: Sequence[int], divisor: int) -> list[int]:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "22/7" or "-123" into a normalized Fraction."""
+    """Parse "22/7" or "-123" into a normalized Fraction; "1/0" is a ValueError too."""
     m = _RATIONAL_RE.match(text)
     if not m:
         raise ValueError(f"not a rational literal: {text!r}")
@@ -69,6 +69,6 @@ def parse_rational(text: str) -> Fraction:
         return Fraction(num)
     den = int(den_text)
     if den == 0:
-        raise ZeroDivisionError(f"zero denominator in {text!r}")
+        raise ValueError(f"zero denominator in {text!r}")
     return Fraction(num, den)
 

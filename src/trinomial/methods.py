@@ -1,10 +1,11 @@
 """Uniform access to every route that computes a diagonal.
 
-Each route takes (lams, max_n), lams a range(lo, hi) of step 1, and returns
-z(0..max_n, lam) for each lam in it, in one pass.  Having one registry keeps
-the cross-checking honest: the CLI, the benchmark, and the consistency
-tests all draw from the same table, so no route can quietly drop out of
-the comparison.  No route takes another route's output.
+Each route is one public function of its own module.  It takes (lams, max_n),
+lams a range(lo, hi) of step 1, and returns z(0..max_n, lam) for each lam in
+it, in one pass.  Having one registry keeps the cross-checking honest: the
+CLI, the benchmark, and the consistency tests all draw from the same table,
+so no route can quietly drop out of the comparison.  No route takes another
+route's output.
 
 Only diagonal_values keeps results between calls, in one bounded cache;
 first_mismatch bypasses it, so each comparison is a cold run of each route.
@@ -27,16 +28,6 @@ __all__ = [
 Route = Callable[[range, int], list[list[int]]]
 
 
-def _by_oracle(lams: range, max_n: int) -> list[list[int]]:
-    # row n holds z(n, lam) at index n + lam for lam <= n; past that, 0.
-    # Rows are streamed, so only the requested diagonals are ever kept.
-    diagonals = [[0] * min(lam, max_n + 1) for lam in lams]
-    for n, row in enumerate(triangle._rows(max_n)):
-        for diagonal, value in zip(diagonals, row[n + lams.start : n + lams.stop]):
-            diagonal.append(value)
-    return diagonals
-
-
 def _by_form(form: Route) -> Route:
     # a closure over a public route function, not the function itself: perfbench's
     # tracer and its tests reach the function through this cell
@@ -46,17 +37,13 @@ def _by_form(form: Route) -> Route:
     return values
 
 
-def _by_recurrence(lams: range, max_n: int) -> list[list[int]]:
-    return [list(recurrences.general_sequence(lam, max_n)) for lam in lams]
-
-
 _METHODS: dict[str, Route] = {
-    "oracle": _by_oracle,
+    "oracle": _by_form(triangle.z_oracle_diagonals),
     "sum1": _by_form(diagonal_sums.z_sum_form1),
     "sum2": _by_form(diagonal_sums.z_sum_form2),
     "sum3": _by_form(diagonal_sums.z_sum_form3),
     "ratio": _by_form(diagonal_sums.z_ratio_diagonals),
-    "recurrence": _by_recurrence,
+    "recurrence": _by_form(recurrences.z_recurrence_diagonals),
     "delta": _by_form(differences.z_delta_diagonals),
     "series": _by_form(series.z_series_diagonals),
 }
@@ -102,10 +89,9 @@ def first_mismatch(
     """
     chosen = list(dict.fromkeys(methods if methods is not None else METHOD_NAMES))
     _check_methods(chosen)
-    if max_n < 0:
-        raise ValueError(f"max_n must be >= 0, got {max_n}")
     lams = range(max_n + 1)
-    reference = _by_oracle(lams, max_n)
+    # the oracle directly, so that only the chosen routes run through _METHODS
+    reference = triangle.z_oracle_diagonals(lams, max_n)
     first = None
     for name in chosen:
         if name == "oracle":

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from .exact import ExactnessError, div_exact
 
-__all__ = ["central_sequence", "general_sequence"]
+__all__ = ["central_sequence", "general_sequence", "z_recurrence_diagonals"]
 
 
 def central_sequence(max_n: int) -> tuple[int, ...]:
@@ -60,3 +60,8 @@ def general_sequence(lam: int, max_n: int) -> tuple[int, ...]:
         total = (2 * n + 3) * values[m - 1] + 3 * (n + 1) * values[m - 2]
         values.append(div_exact((n + 2) * total, denom))
     return tuple(values)
+
+
+def z_recurrence_diagonals(lams: range, max_n: int) -> list[list[int]]:
+    """z(0..max_n, lam) for each lam in lams, one general_sequence each."""
+    return [list(general_sequence(lam, max_n)) for lam in lams]

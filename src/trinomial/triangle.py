@@ -14,7 +14,7 @@ from typing import Iterator, NamedTuple
 
 from .exact import div_exact
 
-__all__ = ["TrinomialTriangle", "build_triangle", "row", "leading_term_check"]
+__all__ = ["TrinomialTriangle", "build_triangle", "row", "z_oracle_diagonals", "leading_term_check"]
 
 
 class TrinomialTriangle(NamedTuple):
@@ -68,6 +68,18 @@ def row(n: int) -> tuple[int, ...]:
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     return deque(_rows(n), maxlen=1)[0]
+
+
+def z_oracle_diagonals(lams: range, max_n: int) -> list[list[int]]:
+    """z(0..max_n, lam) for each lam in lams: row n holds z(n, lam) at index n + lam,
+    and 0 past its end.  The rows are streamed, so only the diagonals are kept."""
+    if lams.start < 0 or lams.step != 1:  # each row is sliced once, at n + lo..n + hi
+        raise ValueError(f"need range(lo >= 0, hi), got {lams}")
+    diagonals = [[0] * min(lam, max_n + 1) for lam in lams]
+    for n, row in enumerate(_rows(max_n)):
+        for diagonal, value in zip(diagonals, row[n + lams.start : n + lams.stop]):
+            diagonal.append(value)
+    return diagonals
 
 
 # Closed forms for the first few coefficients of a row, valid for every n

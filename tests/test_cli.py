@@ -350,6 +350,21 @@ def test_integrality_failure_exits_four(capsys, monkeypatch) -> None:
     assert "not divisible" in err
 
 
+def test_a_zero_division_inside_the_package_is_a_bug_not_bad_input(monkeypatch) -> None:
+    def broken(lams, max_n):
+        raise ZeroDivisionError("exact division by zero")
+
+    monkeypatch.setitem(methods._METHODS, "recurrence", broken)
+    with pytest.raises(ZeroDivisionError):
+        cli.main(["diag", "--lambda", "2", "--max-n", "5"])
+
+
+def test_a_zero_denominator_is_bad_input_naming_its_option(capsys) -> None:
+    code, out, err = _run(capsys, "quad", "--kind", "gf", "--x", "1/0")
+    assert (code, out) == (2, "")
+    assert err == "error: --x: zero denominator in '1/0'\n"
+
+
 def _expected_rows(payload: dict) -> tuple[list[str], list[list[str]]]:
     """The csv header and rows that carry exactly the json payload's data."""
     if payload["command"] == "row":

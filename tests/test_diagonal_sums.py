@@ -140,6 +140,15 @@ def test_one_diagonal_builds_at_most_its_square(form, char_calls, exact_steps, l
     assert diagonal_sums._char_table.cache_info().currsize == 0
 
 
+@pytest.mark.parametrize("form", [z_sum_form1, z_sum_form2])
+def test_central_diagonal_builds_each_column_once(form, char_calls, exact_steps) -> None:
+    # at lam = 0 both factors read column a: one run C(a..40, a) per a = 0..20,
+    # not C(a..40 - a, a) and C(2a..40, a), which took 840 steps and 42 seeds
+    assert form(range(1), 40) == [[_z_comb(n, 0) for n in range(41)]]
+    assert len(char_calls) == 21
+    assert len(exact_steps) == sum(40 - a for a in range(21)) == 630
+
+
 def test_single_diagonals_in_any_order_keep_no_table() -> None:
     for lam in (30, 0, 20):
         for form in (z_sum_form1, z_sum_form2, z_sum_form3, z_ratio_diagonals):

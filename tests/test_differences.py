@@ -126,6 +126,24 @@ def test_delta_expansion_is_zero_below_each_diagonal() -> None:
         assert full == [2 * tri.coeff(n, n + lam) for n in range(41)], lam
 
 
+@pytest.mark.parametrize("lams,subtractions", [(range(30, 31), 765), (range(31), 1665)])
+def test_differences_start_at_the_lowest_live_diagonal(monkeypatch, lams, subtractions) -> None:
+    # order k over n = lo..max_n + top - k: lengths 41..11 for lam = 30 at max_n = 40;
+    # a range from lam 0 differences the whole column, 71..41
+    count = 0
+
+    def counting(a: int, b: int) -> int:
+        nonlocal count
+        count += 1
+        return a - b
+
+    monkeypatch.setattr(differences, "sub", counting)
+    tri = build_triangle(40)
+    expected = [[tri.coeff(n, n + lam) for n in range(41)] for lam in lams]
+    assert z_delta_diagonals(lams, 40) == expected
+    assert count == subtractions
+
+
 def test_z_from_differences_errors(monkeypatch) -> None:
     # a base that is not the central column breaks the parity guarantee
     # at an n >= lam: the route computes no n below the diagonal

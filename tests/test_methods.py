@@ -1,13 +1,14 @@
 from __future__ import annotations
 
 import math
+import sys
 import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trinomial import binomial, methods, triangle
+from trinomial import binomial, methods, recurrences, triangle
 from trinomial.methods import METHOD_NAMES, central_values, diagonal_values, first_mismatch
 from trinomial.triangle import build_triangle
 
@@ -76,6 +77,24 @@ def test_one_pass_rows_match_single_diagonals(method: str, data: st.DataObject) 
     for lam, row in zip(range(a, b), rows):
         assert row == diagonal_values(method, lam, max_n), (lam, max_n)
         assert row == [_z_comb(n, lam) for n in range(max_n + 1)], (lam, max_n)
+
+
+@pytest.mark.parametrize("route", [triangle.z_oracle_diagonals, recurrences.z_recurrence_diagonals])
+def test_module_routes_answer_every_range(route) -> None:
+    tri = build_triangle(44)
+    for max_n in (0, 1, 2, 7, 44):
+        want = [[tri.coeff(n, n + lam) for n in range(max_n + 1)] for lam in range(max_n + 3)]
+        for a in range(max_n + 3):
+            for b in range(a + 1, max_n + 4):
+                assert route(range(a, b), max_n) == want[a:b], (a, b, max_n)
+
+
+def test_every_registered_route_is_a_public_module_function() -> None:
+    for name, route in methods._METHODS.items():
+        (cell,) = route.__closure__
+        form = cell.cell_contents
+        module = sys.modules[form.__module__]
+        assert form.__name__ in module.__all__ and module is not methods, name
 
 
 def test_delta_past_the_diagonal_builds_no_table(monkeypatch) -> None:

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trinomial.recurrences import central_sequence
-from trinomial.triangle import TrinomialTriangle, build_triangle, leading_term_check
+from trinomial.triangle import TrinomialTriangle, build_triangle, leading_term_check, z_oracle_diagonals
 
 FIRST_ROWS = [
     (1,),
@@ -93,3 +93,10 @@ def test_leading_terms_catch_one_altered_entry(k: int) -> None:
     assert leading_term_check(altered, 8)
     assert not leading_term_check(altered, 9)
 
+
+
+@pytest.mark.parametrize("lams", [range(-1, 1), range(0, 5, 2), range(4, 0, -1)])
+def test_oracle_route_refuses_a_negative_start_or_a_step_other_than_1(lams: range) -> None:
+    # sliced at n + lo..n + hi, such a range would read other diagonals
+    with pytest.raises(ValueError, match="need range"):
+        z_oracle_diagonals(lams, 4)
