@@ -27,7 +27,7 @@ from operator import add, mul
 from typing import Callable, Iterator
 
 from .binomial import char
-from .exact import div_exact, div_exact_each
+from .exact import div_exact, div_exact_each, route
 
 __all__ = [
     "z_sum_form1",
@@ -37,13 +37,6 @@ __all__ = [
     "z_ratio_diagonals",
     "central_p_factor_series",
 ]
-
-
-def _check_indices(n: int, lam: int) -> None:
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    if lam < 0:
-        raise ValueError(f"lam must be >= 0, got {lam}")
 
 
 def _run(c: int, lo: int, hi: int) -> list[int]:
@@ -66,7 +59,6 @@ Run = Callable[[int, int, int], list[int]]
 
 
 def _diagonals(kernel: Callable[[int, int, Run], list[int]], lams: range, max_n: int) -> list[list[int]]:
-    _check_indices(max_n, min(lams, default=0))
     if len(lams) > 1:
         columns = _char_table(max_n)
 
@@ -98,6 +90,7 @@ def _form1(lam: int, max_n: int, run: Run) -> list[int]:
     return acc
 
 
+@route
 def z_sum_form1(lams: range, max_n: int) -> list[list[int]]:
     """z(0..max_n, lam) for each lam in lams, with
     z(n, lam) = sum over a of char(n, a) * char(n - a, lam + a).
@@ -117,6 +110,7 @@ def _form2(lam: int, max_n: int, run: Run) -> list[int]:
     return acc
 
 
+@route
 def z_sum_form2(lams: range, max_n: int) -> list[list[int]]:
     """z(0..max_n, lam) for each lam in lams, with
     z(n, lam) = sum over k of char(n, lam + k) * char(n - lam - k, k).
@@ -136,6 +130,7 @@ def _form3(lam: int, max_n: int, run: Run) -> list[int]:
     return acc
 
 
+@route
 def z_sum_form3(lams: range, max_n: int) -> list[list[int]]:
     """z(0..max_n, lam) for each lam in lams, with
     z(n, lam) = sum over k of char(lam + 2k, k) * char(n, lam + 2k).
@@ -163,7 +158,10 @@ def z_term_ratio(n: int, lam: int) -> tuple[int, list[int]]:
     run out, after term (n - lam) // 2.  Returns (sum, list of terms); every
     term is checked to be an integer even though the ratio is not.
     """
-    _check_indices(n, lam)
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    if lam < 0:
+        raise ValueError(f"lam must be >= 0, got {lam}")
     terms = [char(n, lam)] if lam <= n else []
     for a in range((n - lam) // 2):
         u = n - 2 * a - lam
@@ -172,8 +170,6 @@ def z_term_ratio(n: int, lam: int) -> tuple[int, list[int]]:
 
 
 def _ratio_diagonal(lam: int, max_n: int, run: Run) -> list[int]:
-    if lam > max_n:
-        return [0] * (max_n + 1)
     terms = run(lam, lam, max_n)  # the first terms C(n, lam), n = lam..max_n
     totals = [0] * lam + terms
     pronic = [u * (u - 1) for u in range(2, max_n - lam + 1)]
@@ -184,6 +180,7 @@ def _ratio_diagonal(lam: int, max_n: int, run: Run) -> list[int]:
     return totals
 
 
+@route
 def z_ratio_diagonals(lams: range, max_n: int) -> list[list[int]]:
     """z(0..max_n, lam) for each lam in lams by the term ratio of
     z_term_ratio, each step taken for every n still alive at once, its first

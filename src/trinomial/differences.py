@@ -23,7 +23,7 @@ from itertools import islice
 from operator import sub
 from typing import Sequence
 
-from .exact import ExactnessError, div_exact
+from .exact import ExactnessError, div_exact, route
 from .recurrences import central_sequence
 
 __all__ = [
@@ -50,30 +50,23 @@ def delta_expansion_coefficients(lam: int) -> list[int]:
     return coeffs
 
 
+@route
 def z_delta_diagonals(lams: range, max_n: int) -> list[list[int]]:
     """z(0..max_n, lam) for each lam in lams by the Delta expansion.
 
-    One pass over the orders k = 0..top, top the largest lam <= max_n:
+    One pass over the orders k = 0..top, top the largest lam in lams:
     Delta^k p(lam..max_n) is added, times its coefficient, into the doubled
     diagonal of each lam >= k of the same parity, and Delta^(k+1) is then
     taken from it.  Below n = lam a diagonal is zero and is not computed,
-    and no order is taken below n = lo, the smallest lam <= max_n.
+    and no order is taken below n = lo, the smallest lam.
     Each doubled diagonal is checked to be even and halved.  lam = 0 is
-    the central column itself; a lam past max_n is all zeros and builds
-    no central column.
+    the central column itself.
     """
-    if max_n < 0:
-        raise ValueError(f"max_n must be >= 0, got {max_n}")
-    if min(lams, default=0) < 0:
-        raise ValueError(f"lam must be >= 0, got {min(lams)}")
-    alive = [lam for lam in lams if lam <= max_n]
-    if not alive:
-        return [[0] * (max_n + 1) for _ in lams]
-    lo, top = min(alive), max(alive)
+    lo, top = lams[0], lams[-1]
     row = list(central_sequence(max_n + top))
     center = row[: max_n + 1]
-    del row[:lo]  # every lam left reads n >= lo only
-    coeffs = {lam: delta_expansion_coefficients(lam) for lam in alive if lam}
+    del row[:lo]  # every lam reads n >= lo only
+    coeffs = {lam: delta_expansion_coefficients(lam) for lam in lams if lam}
     doubled = {lam: [0] * (max_n + 1 - lam) for lam in coeffs}  # n = lam..max_n only
     for k in range(top + 1):
         if k:
@@ -89,10 +82,7 @@ def z_delta_diagonals(lams: range, max_n: int) -> list[list[int]]:
                     f"Delta expansion for lam={lam}, n={n} gave odd value {value}"
                 )
         doubled[lam] = [0] * lam + [value >> 1 for value in values]
-    return [
-        center if lam == 0 else doubled[lam] if lam in doubled else [0] * (max_n + 1)
-        for lam in lams
-    ]
+    return [center if lam == 0 else doubled[lam] for lam in lams]
 
 
 def stepwise_chain(

@@ -3,7 +3,8 @@
 Python ints already give arbitrary-precision integers, and every route in
 the package stays in them, so this module only adds the pieces the rest of
 the package leans on: division that fails loudly when a remainder would be
-discarded, and strict parsing of rational literals.  ``fractions.Fraction``
+discarded, strict parsing of rational literals, and ``route``, the one guard
+of the (lams, max_n) contract every registered route wears.  ``fractions.Fraction``
 appears only for inputs that really are rational, such as a quadrature
 point given as "1/4".  No floats are produced here.
 """
@@ -12,11 +13,12 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import wraps
 from itertools import repeat
 from operator import floordiv, mod
-from typing import Sequence
+from typing import Callable, Sequence
 
-__all__ = ["ExactnessError", "div_exact", "div_exact_each", "parse_rational"]
+__all__ = ["ExactnessError", "div_exact", "div_exact_each", "parse_rational", "route"]
 
 _RATIONAL_RE = re.compile(r"([+-]?[0-9]+)(?:/([+-]?[0-9]+))?\Z")
 
@@ -72,3 +74,27 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"zero denominator in {text!r}")
     return Fraction(num, den)
 
+
+Route = Callable[[range, int], list[list[int]]]
+
+
+def route(body: Route) -> Route:
+    """body(lams, max_n) behind the one contract of the registered routes (see
+    methods): refuse a max_n that is no int >= 0 and lams that is no
+    range(lo >= 0, hi) of step 1, run body on the live diagonals
+    range(lo, min(hi, max_n + 1)) only, if any, and append the all-zero
+    diagonals past max_n."""
+
+    @wraps(body)
+    def guarded(lams: range, max_n: int) -> list[list[int]]:
+        if not isinstance(max_n, int):
+            raise TypeError(f"max_n must be an int, got {max_n!r}")
+        if max_n < 0:
+            raise ValueError(f"max_n must be >= 0, got {max_n}")
+        if type(lams) is not range or lams.start < 0 or lams.step != 1:
+            raise ValueError(f"need range(lo >= 0, hi) of step 1, got {lams!r}")
+        live = range(lams.start, min(lams.stop, max_n + 1))
+        rows = body(live, max_n) if live else []
+        return rows + [[0] * (max_n + 1) for _ in range(len(lams) - len(live))]
+
+    return guarded

@@ -1,10 +1,16 @@
 """Uniform access to every route that computes a diagonal.
 
-Each route is one public function of its own module.  It takes (lams, max_n),
-lams a range(lo, hi) of step 1, and returns z(0..max_n, lam) for each lam in
-it, in one pass.  Having one registry keeps the cross-checking honest: the
-CLI, the benchmark, and the consistency tests all draw from the same table,
-so no route can quietly drop out of the comparison.  No route takes another
+Each route is one public function of its own module, and all of them keep
+one contract, enforced by the one guard exact.route they wear: a route takes
+(lams, max_n) and returns z(0..max_n, lam) for each lam in lams, in one pass.
+max_n must be an int >= 0, else TypeError, or ValueError "max_n must be >= 0,
+got -1"; lams must be a range(lo, hi) of step 1 with lo >= 0, else ValueError
+"need range(lo >= 0, hi) of step 1, got range(0, 5, 2)".  A diagonal past
+max_n is all zeros, and its route body never sees it.
+
+Having one registry keeps the cross-checking honest: the CLI, the
+benchmark, and the consistency tests all draw from the same table, so no
+route can quietly drop out of the comparison.  No route takes another
 route's output.
 
 Only diagonal_values keeps results between calls, in one bounded cache;
@@ -14,9 +20,10 @@ first_mismatch bypasses it, so each comparison is a cold run of each route.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Optional
 
 from . import diagonal_sums, differences, recurrences, series, triangle
+from .exact import Route
 
 __all__ = [
     "METHOD_NAMES",
@@ -24,8 +31,6 @@ __all__ = [
     "central_values",
     "first_mismatch",
 ]
-
-Route = Callable[[range, int], list[list[int]]]
 
 
 def _by_form(form: Route) -> Route:
@@ -57,7 +62,7 @@ def _check_methods(names: list[str]) -> None:
             raise ValueError(f"unknown method {name!r}; choose from {METHOD_NAMES}")
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=16, typed=True)  # typed: 3.0 reaches the route's refusal even after 3
 def _diagonal(method: str, lam: int, max_n: int) -> tuple[int, ...]:
     return tuple(_METHODS[method](range(lam, lam + 1), max_n)[0])
 

@@ -18,7 +18,7 @@ produces a plausible-looking wrong integer.
 
 from __future__ import annotations
 
-from .exact import ExactnessError, div_exact
+from .exact import ExactnessError, div_exact, route
 
 __all__ = ["central_sequence", "general_sequence", "z_recurrence_diagonals"]
 
@@ -62,6 +62,7 @@ def general_sequence(lam: int, max_n: int) -> tuple[int, ...]:
     return tuple(values)
 
 
+@route
 def z_recurrence_diagonals(lams: range, max_n: int) -> list[list[int]]:
     """z(0..max_n, lam) for each lam in lams, one general_sequence each."""
     return [list(general_sequence(lam, max_n)) for lam in lams]

@@ -17,9 +17,9 @@ Motzkin series, so z(n, lam) is [x^(n - lam)] P M^lam: the series route
 z_series_diagonals, of which gf_Z is one diagonal shifted by lam and
 gf_P the diagonal lam = 0.  The square root is worked out one
 coefficient at a time from s^2 = a, with one exact halving each, and
-certified by squaring back.  P and M are read off the root: P needs no
-division, as 2 root root' = -2 - 6x gives P = 1/root = -root'/(1 + 3x),
-and M_k = -r_(k+2)/2 is one exact halving each.
+certified by the identity 2 a s' = a' s.  P and M are read off the root:
+P needs no division, as 2 root root' = -2 - 6x gives P = 1/root =
+-root'/(1 + 3x), and M_k = -r_(k+2)/2 is one exact halving each.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from functools import lru_cache
 from operator import mul
 from typing import Sequence, Union
 
-from .exact import ExactnessError, div_exact
+from .exact import ExactnessError, div_exact, route
 
 __all__ = [
     "PowerSeries",
@@ -52,6 +52,15 @@ def _mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     n = len(a)
     reversed_b = b[n - 1 :: -1]
     return tuple([sum(map(mul, a, reversed_b[n - 1 - k :])) for k in range(n)])
+
+
+def _is_root(s: list[int], a: tuple[int, ...]) -> bool:
+    # s^2 = a for s_0 = a_0 = 1 iff 2 a s' = a' s to x^(order - 1), as (s^2 / a)' =
+    # s (2 a s' - a' s) / a^2; x^(k-1) of it is one sum over the nonzero a_i
+    terms = [(i, c) for i, c in enumerate(a) if c]
+    return s[0] == 1 and not any(
+        sum([c * (2 * k - 3 * i) * s[k - i] for i, c in terms if i <= k]) for k in range(1, len(a))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -144,8 +153,9 @@ class PowerSeries:
         Requires unit constant term.  Comparing x^k in s^2 = a gives
         2 s_k = a_k - sum_{i=1}^{k-1} s_i s_(k-i), so each coefficient is
         one div_exact halving and a radicand with no integer root raises
-        there.  The result is certified by squaring back, so a wrong root
-        cannot escape.
+        there.  The result is certified by 2 a s' = a' s, which with
+        s_0 = a_0 = 1 holds iff s^2 = a and costs O(order) per nonzero a_i,
+        not a full squaring, so a wrong root cannot escape.
         """
         if self.coeffs[0] != 1:
             raise ValueError("sqrt requires constant term 1")
@@ -155,10 +165,9 @@ class PowerSeries:
             pairs = sum(map(mul, s[1 : (k + 1) // 2], s[k - 1 : k // 2 : -1]))
             middle = 0 if k % 2 else s[k // 2] ** 2
             s.append(div_exact(a[k] - 2 * pairs - middle, 2))
-        root = PowerSeries(tuple(s))
-        if (root * root).coeffs != self.coeffs:
+        if not _is_root(s, a):
             raise ExactnessError("square root certification failed")
-        return root
+        return PowerSeries(tuple(s))
 
     # -- evaluation and rendering --------------------------------------------
 
@@ -233,30 +242,22 @@ def gf_nu(order: int) -> PowerSeries:
     return PowerSeries(((0, 0) + _root_and_m(order)[1])[: order + 1])
 
 
+@route
 def z_series_diagonals(lams: range, max_n: int) -> list[list[int]]:
     """z(0..max_n, lam) for each lam in lams, as [x^(n - lam)] P M^lam.
 
-    The first diagonal at or below max_n takes P and M to order max_n - lam
-    from one root and raises M to the power lam; each further diagonal is
-    one more factor of M at one order less, on the bare coefficients.
-    Past max_n, all is 0.
+    The first diagonal takes P and M to order max_n - lam from one root and
+    raises M to the power lam; each further diagonal is one more factor of
+    M at one order less, on the bare coefficients.
     """
-    if max_n < 0 or lams.start < 0 or lams.step != 1:  # each next diagonal is one more M
-        raise ValueError(f"need max_n >= 0 and range(lo >= 0, hi), got {max_n} and {lams}")
-    rows = []
-    q = m = None
-    for lam in lams:
-        depth = max_n - lam
-        if depth < 0:
-            rows.append([0] * (max_n + 1))
-            continue
-        if q is None:  # P and M to x^depth, from one root
-            root, m = _root_and_m(depth + 2)
-            q = _p_from_root(root, depth)
-            if lam:
-                q = (PowerSeries(m) ** lam * PowerSeries(q)).coeffs
-        else:
-            q = _mul(q[: depth + 1], m)  # _mul reads m only to q's order
+    lo = lams.start
+    root, m = _root_and_m(max_n - lo + 2)  # P and M to x^(max_n - lo), from one root
+    q = _p_from_root(root, max_n - lo)
+    if lo:
+        q = (PowerSeries(m) ** lo * PowerSeries(q)).coeffs
+    rows = [[0] * lo + list(q)]
+    for lam in lams[1:]:
+        q = _mul(q[: max_n - lam + 1], m)  # _mul reads m only to q's order
         rows.append([0] * lam + list(q))
     return rows
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterator, NamedTuple
 
-from .exact import div_exact
+from .exact import div_exact, route
 
 __all__ = ["TrinomialTriangle", "build_triangle", "row", "z_oracle_diagonals", "leading_term_check"]
 
@@ -70,12 +70,11 @@ def row(n: int) -> tuple[int, ...]:
     return deque(_rows(n), maxlen=1)[0]
 
 
+@route
 def z_oracle_diagonals(lams: range, max_n: int) -> list[list[int]]:
     """z(0..max_n, lam) for each lam in lams: row n holds z(n, lam) at index n + lam,
     and 0 past its end.  The rows are streamed, so only the diagonals are kept."""
-    if lams.start < 0 or lams.step != 1:  # each row is sliced once, at n + lo..n + hi
-        raise ValueError(f"need range(lo >= 0, hi), got {lams}")
-    diagonals = [[0] * min(lam, max_n + 1) for lam in lams]
+    diagonals = [[0] * lam for lam in lams]
     for n, row in enumerate(_rows(max_n)):
         for diagonal, value in zip(diagonals, row[n + lams.start : n + lams.stop]):
             diagonal.append(value)

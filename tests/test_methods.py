@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 import sys
 import tracemalloc
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trinomial import binomial, methods, recurrences, triangle
+from trinomial import binomial, diagonal_sums, differences, methods, recurrences, series, triangle
 from trinomial.methods import METHOD_NAMES, central_values, diagonal_values, first_mismatch
 from trinomial.triangle import build_triangle
 
@@ -95,6 +96,46 @@ def test_every_registered_route_is_a_public_module_function() -> None:
         form = cell.cell_contents
         module = sys.modules[form.__module__]
         assert form.__name__ in module.__all__ and module is not methods, name
+
+
+# what each route's body builds first: counted, none of them may run past max_n
+_ROUTE_BUILDERS = (
+    (triangle, "_rows"),
+    (diagonal_sums, "_char_table"),
+    (recurrences, "general_sequence"),
+    (differences, "central_sequence"),
+    (series, "_root_and_m"),
+)
+
+
+@pytest.mark.parametrize("method", METHOD_NAMES)
+def test_every_route_keeps_the_one_contract(monkeypatch, method: str) -> None:
+    route = methods._METHODS[method]
+    for lams in (range(0, 5, 2), range(6, 0, -1), range(-1, 2), [0, 1]):
+        with pytest.raises(ValueError, match=re.escape(f"need range(lo >= 0, hi) of step 1, got {lams!r}")):
+            route(lams, 8)
+    for lams in (range(2), range(0)):
+        with pytest.raises(ValueError, match=re.escape("max_n must be >= 0, got -1")):
+            route(lams, -1)
+    with pytest.raises(TypeError, match=re.escape("max_n must be an int, got 2.0")):
+        route(range(2), 2.0)
+    built: list[str] = []
+    for module, name in _ROUTE_BUILDERS:
+        monkeypatch.setattr(module, name, lambda *args, _name=name: built.append(_name))
+    for max_n in (0, 5):
+        assert route(range(max_n + 1, max_n + 4), max_n) == [[0] * (max_n + 1)] * 3
+        assert route(range(max_n + 4, max_n + 2), max_n) == []
+    assert built == []
+
+
+def test_a_max_n_that_is_no_int_is_refused_naming_it() -> None:
+    with pytest.raises(TypeError, match="max_n must be an int, got 2.0"):
+        central_values("sum1", 2.0)
+    with pytest.raises(TypeError, match="max_n must be an int, got 3.0"):
+        diagonal_values("delta", 1, 3.0)
+    assert diagonal_values("delta", 1, 3) == [0, 1, 2, 6]
+    with pytest.raises(TypeError, match="max_n must be an int, got 3.0"):  # not the cached answer for 3
+        diagonal_values("delta", 1, 3.0)
 
 
 def test_delta_past_the_diagonal_builds_no_table(monkeypatch) -> None:

@@ -194,20 +194,53 @@ def test_series_route_reads_m_off_the_root_by_one_halving_each(monkeypatch, halv
 
 
 def test_a_root_with_a_wrong_x1_coefficient_fails_its_certificate(monkeypatch) -> None:
-    # sqrt's first halving gives r_1 = -1, which makes nu_0 = nu_1 = 0; moving it by 2
-    # keeps every later halving exact, so only the squaring certificate can catch it
+    # sqrt's first halving gives r_1 = -1, which makes nu_0 = nu_1 = 0.  Moving r_1, a
+    # middle r_k or the last one by 2 keeps every later halving exact (the change to
+    # each later sum of products stays a multiple of 4), so only the certificate can
+    # catch it
     halvings: list[int] = []
     div_exact = series.div_exact
+    target = 0
 
     def shifted(a: int, b: int) -> int:
         halvings.append(a)
-        return div_exact(a, b) + (2 if len(halvings) == 1 else 0)
+        return div_exact(a, b) + (2 if len(halvings) == target else 0)
 
     monkeypatch.setattr(series, "div_exact", shifted)
-    for build in (lambda: gf_nu(12), lambda: z_series_diagonals(range(3), 12), lambda: gf_P(12)):
-        halvings.clear()
-        with pytest.raises(ExactnessError, match="certification"):
-            build()
+    builds = ((lambda: gf_nu(12), 12), (lambda: z_series_diagonals(range(3), 12), 14), (lambda: gf_P(12), 14))
+    for build, order in builds:  # order: the root's, whose halvings come first
+        for target in (1, order // 2, order):
+            halvings.clear()
+            with pytest.raises(ExactnessError, match="certification"):
+                build()
+            assert len(halvings) == order, target
+
+
+def test_a_cold_series_diagonal_squares_no_root_back(monkeypatch) -> None:
+    calls: list[int] = []
+    mul = series._mul
+
+    def counting(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+        calls.append(len(a))
+        return mul(a, b)
+
+    monkeypatch.setattr(series, "_mul", counting)
+    assert z_series_diagonals(range(1), 300) == [list(central_sequence(300))]
+    assert calls == []
+
+
+@pytest.mark.parametrize("radicand", [(1, -2, -3), (1, 4), (1, 2, 1), (1, -6, 9), (1, 0, 4, 0, 4)])
+def test_the_root_certificate_agrees_with_squaring_on_every_root_off_by_one(radicand) -> None:
+    for order in (0, 1, 2, 5, 17, 40):
+        a = polynomial(radicand[: order + 1], order).coeffs
+        root = list(PowerSeries(a).sqrt().coeffs)
+        assert series._is_root(root, a) and series._mul(tuple(root), tuple(root)) == a
+        for k in range(order + 1):
+            for shift in (-1, 1, 2):
+                s = root.copy()
+                s[k] += shift
+                squares = series._mul(tuple(s), tuple(s)) == a
+                assert not squares and series._is_root(s, a) == squares, (order, k, shift)
 
 
 def test_nu_functional_equation_order_60() -> None:
