@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .exact import div_exact
+from .exact import div_exact, index
 
 __all__ = [
     "char",
@@ -35,8 +35,8 @@ def _char_in_range(n: int, lam: int) -> int:
 
 def char(n: int, lam: int) -> int:
     """Binomial coefficient C(n, lam); zero when lam is outside [0, n]."""
-    if n < 0:
-        raise ValueError(f"negative upper index: {n}")
+    index("n", n)
+    index("lam", lam, None)  # any int: outside [0, n] the answer is 0
     if lam < 0 or lam > n:
         return 0
     return _char_in_range(n, min(lam, n - lam))
@@ -54,16 +54,18 @@ def _char_product(n: int, a: int, b: int) -> int:
 def product_swap_check(n: int, alpha: int, beta: int) -> bool:
     """Check char(n,a)*char(n-a,b) == char(n,b)*char(n-b,a), both sides
     computed independently."""
-    if n < 0 or alpha < 0 or beta < 0:
-        raise ValueError("indices must be nonnegative")
+    index("n", n)
+    index("alpha", alpha)
+    index("beta", beta)
     return _char_product(n, alpha, beta) == _char_product(n, beta, alpha)
 
 
 def product_collapse_check(n: int, alpha: int, beta: int) -> bool:
     """Check char(n,a)*char(n-a,b) == char(a+b,a)*char(n,a+b), both sides
     computed independently."""
-    if n < 0 or alpha < 0 or beta < 0:
-        raise ValueError("indices must be nonnegative")
+    index("n", n)
+    index("alpha", alpha)
+    index("beta", beta)
     lhs = _char_product(n, alpha, beta)
     rhs = char(alpha + beta, alpha) * char(n, alpha + beta)
     return lhs == rhs

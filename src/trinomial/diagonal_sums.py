@@ -27,7 +27,7 @@ from operator import add, mul
 from typing import Callable, Iterator
 
 from .binomial import char
-from .exact import div_exact, div_exact_each, route
+from .exact import div_exact, div_exact_each, index, route
 
 __all__ = [
     "z_sum_form1",
@@ -158,10 +158,8 @@ def z_term_ratio(n: int, lam: int) -> tuple[int, list[int]]:
     run out, after term (n - lam) // 2.  Returns (sum, list of terms); every
     term is checked to be an integer even though the ratio is not.
     """
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    if lam < 0:
-        raise ValueError(f"lam must be >= 0, got {lam}")
+    index("n", n)
+    index("lam", lam)
     terms = [char(n, lam)] if lam <= n else []
     for a in range((n - lam) // 2):
         u = n - 2 * a - lam
@@ -194,8 +192,7 @@ def central_p_factor_series(n: int) -> int:
     The central binomial factors C(2k, k) are built incrementally from the
     step ratio (4k + 2) / (k + 1), with integrality checked at every step.
     """
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    index("n", n)
     total = 0
     factor = 1
     k = 0

@@ -23,7 +23,7 @@ from itertools import islice
 from operator import sub
 from typing import Sequence
 
-from .exact import ExactnessError, div_exact, route
+from .exact import ExactnessError, div_exact, index, route
 from .recurrences import central_sequence
 
 __all__ = [
@@ -41,8 +41,7 @@ def delta_expansion_coefficients(lam: int) -> list[int]:
     Each c_j is one exact step from the one before,
     c_j = c_(j-1) (lam - 2j + 2)(lam - 2j + 1) / (j (lam - j)).
     """
-    if lam < 1:
-        raise ValueError(f"lam must be >= 1, got {lam}")
+    index("lam", lam, 1)
     coeffs, c = [1], 1
     for j in range(1, lam // 2 + 1):
         c = div_exact(c * (lam - 2 * j + 2) * (lam - 2 * j + 1), j * (lam - j))
@@ -94,10 +93,8 @@ def stepwise_chain(
     p(0..max_n + max_lambda) since every step consumes one index of
     lookahead.
     """
-    if max_lambda < 1:
-        raise ValueError(f"max_lambda must be >= 1, got {max_lambda}")
-    if max_n < 0:
-        raise ValueError(f"max_n must be >= 0, got {max_n}")
+    index("max_lambda", max_lambda, 1)
+    index("max_n", max_n)
     needed = max_n + max_lambda + 1
     if len(p_values) < needed:
         raise ValueError(

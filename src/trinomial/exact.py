@@ -3,10 +3,13 @@
 Python ints already give arbitrary-precision integers, and every route in
 the package stays in them, so this module only adds the pieces the rest of
 the package leans on: division that fails loudly when a remainder would be
-discarded, strict parsing of rational literals, and ``route``, the one guard
-of the (lams, max_n) contract every registered route wears.  ``fractions.Fraction``
-appears only for inputs that really are rational, such as a quadrature
-point given as "1/4".  No floats are produced here.
+discarded, strict parsing of rational literals, and two argument rules.
+``index`` is the one index rule of every public entry point: an index that
+is no int raises TypeError "n must be an int, got 4.0", and one below its
+bound, 0 unless stated, raises ValueError "n must be >= 0, got -1".  ``route``
+is the one guard of the (lams, max_n) contract every registered route wears.
+``fractions.Fraction`` appears only for inputs that really are rational, such
+as a quadrature point given as "1/4".  No floats are produced here.
 """
 
 from __future__ import annotations
@@ -16,9 +19,9 @@ from fractions import Fraction
 from functools import wraps
 from itertools import repeat
 from operator import floordiv, mod
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
-__all__ = ["ExactnessError", "div_exact", "div_exact_each", "parse_rational", "route"]
+__all__ = ["ExactnessError", "div_exact", "div_exact_each", "parse_rational", "index", "route"]
 
 _RATIONAL_RE = re.compile(r"([+-]?[0-9]+)(?:/([+-]?[0-9]+))?\Z")
 
@@ -75,22 +78,29 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(num, den)
 
 
+def index(name: str, value: int, lo: Optional[int] = 0) -> int:
+    """value, if it keeps the index rule: an int (a bool is one) >= lo, or any
+    int for lo None; else the rule's TypeError or ValueError, naming name."""
+    if not isinstance(value, int):
+        raise TypeError(f"{name} must be an int, got {value!r}")
+    if lo is not None and value < lo:
+        raise ValueError(f"{name} must be >= {lo}, got {value}")
+    return value
+
+
 Route = Callable[[range, int], list[list[int]]]
 
 
 def route(body: Route) -> Route:
     """body(lams, max_n) behind the one contract of the registered routes (see
-    methods): refuse a max_n that is no int >= 0 and lams that is no
+    methods): refuse a max_n that breaks the index rule and lams that is no
     range(lo >= 0, hi) of step 1, run body on the live diagonals
     range(lo, min(hi, max_n + 1)) only, if any, and append the all-zero
     diagonals past max_n."""
 
     @wraps(body)
     def guarded(lams: range, max_n: int) -> list[list[int]]:
-        if not isinstance(max_n, int):
-            raise TypeError(f"max_n must be an int, got {max_n!r}")
-        if max_n < 0:
-            raise ValueError(f"max_n must be >= 0, got {max_n}")
+        index("max_n", max_n)
         if type(lams) is not range or lams.start < 0 or lams.step != 1:
             raise ValueError(f"need range(lo >= 0, hi) of step 1, got {lams!r}")
         live = range(lams.start, min(lams.stop, max_n + 1))

@@ -3,10 +3,10 @@
 Each route is one public function of its own module, and all of them keep
 one contract, enforced by the one guard exact.route they wear: a route takes
 (lams, max_n) and returns z(0..max_n, lam) for each lam in lams, in one pass.
-max_n must be an int >= 0, else TypeError, or ValueError "max_n must be >= 0,
-got -1"; lams must be a range(lo, hi) of step 1 with lo >= 0, else ValueError
-"need range(lo >= 0, hi) of step 1, got range(0, 5, 2)".  A diagonal past
-max_n is all zeros, and its route body never sees it.
+max_n keeps the index rule of exact.index; lams must be a range(lo, hi) of
+step 1 with lo >= 0, else ValueError "need range(lo >= 0, hi) of step 1,
+got range(0, 5, 2)".  A diagonal past max_n is all zeros, and its route
+body never sees it.
 
 Having one registry keeps the cross-checking honest: the CLI, the
 benchmark, and the consistency tests all draw from the same table, so no
@@ -23,7 +23,7 @@ from functools import lru_cache
 from typing import Optional
 
 from . import diagonal_sums, differences, recurrences, series, triangle
-from .exact import Route
+from .exact import Route, index
 
 __all__ = [
     "METHOD_NAMES",
@@ -62,7 +62,7 @@ def _check_methods(names: list[str]) -> None:
             raise ValueError(f"unknown method {name!r}; choose from {METHOD_NAMES}")
 
 
-@lru_cache(maxsize=16, typed=True)  # typed: 3.0 reaches the route's refusal even after 3
+@lru_cache(maxsize=16)
 def _diagonal(method: str, lam: int, max_n: int) -> tuple[int, ...]:
     return tuple(_METHODS[method](range(lam, lam + 1), max_n)[0])
 
@@ -70,10 +70,8 @@ def _diagonal(method: str, lam: int, max_n: int) -> tuple[int, ...]:
 def diagonal_values(method: str, lam: int, max_n: int) -> list[int]:
     """z(0..max_n, lam) computed by the named method, as a new list."""
     _check_methods([method])
-    if lam < 0:
-        raise ValueError(f"lam must be >= 0, got {lam}")
-    if max_n < 0:
-        raise ValueError(f"max_n must be >= 0, got {max_n}")
+    index("lam", lam)
+    index("max_n", max_n)
     return list(_diagonal(method, lam, max_n))
 
 
@@ -90,10 +88,11 @@ def first_mismatch(
     Each chosen method runs once over the whole range.  Returns None if
     everything agrees, otherwise (method, lam, n, got, expected) for the
     first disagreement, scanning lam by lam and, within one lam, the
-    methods in the order given.  A negative max_n raises ValueError.
+    methods in the order given.  max_n keeps the index rule of exact.index.
     """
     chosen = list(dict.fromkeys(methods if methods is not None else METHOD_NAMES))
     _check_methods(chosen)
+    index("max_n", max_n)
     lams = range(max_n + 1)
     # the oracle directly, so that only the chosen routes run through _METHODS
     reference = triangle.z_oracle_diagonals(lams, max_n)

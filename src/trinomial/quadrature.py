@@ -31,6 +31,7 @@ import sys
 from typing import Callable, NamedTuple
 
 from . import triangle
+from .exact import index
 
 __all__ = [
     "QuadratureResult",
@@ -67,8 +68,7 @@ def integrate_0_pi(f: Callable[[float], float], panels: int) -> QuadratureResult
     0.0, as the rule cannot see the aliased terms; the callers below report
     the bound for their integrand.
     """
-    if panels < 1:
-        raise ValueError(f"need panels >= 1, got {panels}")
+    index("panels", panels, 1)
     if panels > MAX_PANELS:
         raise QuadratureError(f"{panels} panels needed, more than the budget of {MAX_PANELS}")
     h = math.pi / panels
@@ -85,6 +85,8 @@ def z_by_integral(n: int, lam: int) -> QuadratureResult:
     (n + lam) // 2 + 1 panels integrate it exactly: abs_error_estimate is
     0.0 and what error remains is roundoff on the scale 3^n.
     """
+    index("n", n, None)  # ints only; the bounds are the one check below
+    index("lam", lam, None)
     if not 0 <= lam <= n <= 30:
         raise ValueError(f"need 0 <= lam <= n <= 30, got lam={lam}, n={n}")
 
@@ -127,8 +129,7 @@ def cos_power_expansion(alpha: int) -> list[int]:
     term, present only for even alpha) is C(alpha, alpha/2) taken once.
     The weights sum to 2^alpha (set phi = 0).
     """
-    if alpha < 0:
-        raise ValueError(f"alpha must be >= 0, got {alpha}")
+    index("alpha", alpha)
     weights = []
     for j in range(alpha // 2 + 1):
         c = 2 * math.comb(alpha, j)
@@ -228,8 +229,7 @@ def b_identity_check(b: float, lam: int, tol: float = 1e-9) -> bool:
     equals pi b^lam / (1 - b^2), for 0 < b < 1."""
     if not 0.0 < b < 1.0:
         raise ValueError(f"need 0 < b < 1, got {b}")
-    if lam < 0:
-        raise ValueError(f"lam must be >= 0, got {lam}")
+    index("lam", lam)
     closed = math.pi * b**lam / ((1.0 - b) * (1.0 + b))
     scale = max(1.0, abs(closed))
     return abs(_poisson_integral(b, lam, tol, scale).value - closed) <= tol * scale
@@ -244,8 +244,7 @@ def b_reduction_chain_check(b: float, max_lambda: int, tol: float = 1e-9) -> boo
     """
     if not 0.0 < b < 1.0:
         raise ValueError(f"need 0 < b < 1, got {b}")
-    if max_lambda < 1:
-        raise ValueError(f"max_lambda must be >= 1, got {max_lambda}")
+    index("max_lambda", max_lambda, 1)
     closed = math.pi / ((1.0 - b) * (1.0 + b))
     scale = max(1.0, closed)
     values = [_poisson_integral(b, lam, tol, scale).value for lam in range(max_lambda + 1)]

@@ -18,15 +18,14 @@ produces a plausible-looking wrong integer.
 
 from __future__ import annotations
 
-from .exact import ExactnessError, div_exact, route
+from .exact import ExactnessError, div_exact, index, route
 
 __all__ = ["central_sequence", "general_sequence", "z_recurrence_diagonals"]
 
 
 def central_sequence(max_n: int) -> tuple[int, ...]:
     """Central coefficients p(0..max_n) from the three-term recurrence."""
-    if max_n < 0:
-        raise ValueError(f"max_n must be >= 0, got {max_n}")
+    index("max_n", max_n)
     values = [1, 1][: max_n + 1]
     for m in range(2, max_n + 1):
         n = m - 2
@@ -43,10 +42,8 @@ def general_sequence(lam: int, max_n: int) -> tuple[int, ...]:
     but it is pinned explicitly so the recurrence is only ever exercised
     on the region it is claimed for.
     """
-    if lam < 0:
-        raise ValueError(f"lam must be >= 0, got {lam}")
-    if max_n < 0:
-        raise ValueError(f"max_n must be >= 0, got {max_n}")
+    index("lam", lam)
+    index("max_n", max_n)
     values = [0] * min(lam, max_n + 1)
     if lam <= max_n:
         values.append(1)

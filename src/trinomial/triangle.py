@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterator, NamedTuple
 
-from .exact import div_exact, route
+from .exact import div_exact, index, route
 
 __all__ = ["TrinomialTriangle", "build_triangle", "row", "z_oracle_diagonals", "leading_term_check"]
 
@@ -46,8 +46,7 @@ class TrinomialTriangle(NamedTuple):
 
 def _rows(max_n: int) -> Iterator[tuple[int, ...]]:
     """Rows 0..max_n in order, each built from the one before."""
-    if max_n < 0:
-        raise ValueError(f"max_n must be >= 0, got {max_n}")
+    index("max_n", max_n)
     prev: tuple[int, ...] = (1,)
     yield prev
     for _ in range(max_n):
@@ -65,8 +64,7 @@ def build_triangle(max_n: int) -> TrinomialTriangle:
 
 def row(n: int) -> tuple[int, ...]:
     """Row n alone: build_triangle(n).row(n) in O(n) memory."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    index("n", n)
     return deque(_rows(n), maxlen=1)[0]
 
 

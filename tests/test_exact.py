@@ -1,16 +1,20 @@
 from __future__ import annotations
 
+import math
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable, Optional
 
 import pytest
 
 import trinomial
-from trinomial.exact import ExactnessError, div_exact, div_exact_each, parse_rational
+from trinomial import binomial, diagonal_sums, differences, methods, quadrature, recurrences, series, triangle
+from trinomial.exact import ExactnessError, div_exact, div_exact_each, index, parse_rational
 
 
 def test_div_exact_golden() -> None:
@@ -135,3 +139,89 @@ def test_parse_format_round_trip() -> None:
     for _ in range(100):
         q = Fraction(rng.randint(-10**9, 10**9), rng.randint(1, 10**9))
         assert parse_rational(str(q)) == q
+
+
+def test_index_passes_an_int_at_or_above_its_bound_through() -> None:
+    assert index("n", 0) == 0
+    assert index("lam", 1, 1) == 1
+    assert index("lam", -5, None) == -5
+    assert index("max_n", True) is True  # a bool is an int
+
+
+@pytest.mark.parametrize("value", [2.0, "2", Fraction(2), None])
+def test_index_refuses_what_is_no_int_naming_it(value: object) -> None:
+    with pytest.raises(TypeError, match=f"^n must be an int, got {re.escape(repr(value))}$"):
+        index("n", value)
+
+
+# Every public entry point with an integer argument, called with valid arguments,
+# then with one of them broken: (function, valid arguments, position of the
+# broken one, its name, its bound, or None where any int passes the rule: char's
+# lam, or an index whose domain is a compound check of its own)
+_INDEXED: list[tuple[Callable, tuple, int, str, Optional[int]]] = [
+    (triangle.z_oracle_diagonals, (range(2), 3), 1, "max_n", 0),  # exact.route
+    (methods.diagonal_values, ("delta", 1, 3), 1, "lam", 0),
+    (methods.diagonal_values, ("delta", 1, 3), 2, "max_n", 0),
+    (methods.central_values, ("sum1", 2), 1, "max_n", 0),
+    (methods.first_mismatch, (2,), 0, "max_n", 0),
+    (binomial.char, (4, 2), 0, "n", 0),
+    (binomial.char, (4, 2), 1, "lam", None),
+    (binomial.product_swap_check, (5, 1, 2), 0, "n", 0),
+    (binomial.product_swap_check, (5, 1, 2), 1, "alpha", 0),
+    (binomial.product_swap_check, (5, 1, 2), 2, "beta", 0),
+    (binomial.product_collapse_check, (5, 1, 2), 0, "n", 0),
+    (binomial.product_collapse_check, (5, 1, 2), 1, "alpha", 0),
+    (binomial.product_collapse_check, (5, 1, 2), 2, "beta", 0),
+    (triangle.build_triangle, (3,), 0, "max_n", 0),  # triangle._rows
+    (triangle.row, (3,), 0, "n", 0),
+    (recurrences.central_sequence, (3,), 0, "max_n", 0),
+    (recurrences.general_sequence, (1, 5), 0, "lam", 0),
+    (recurrences.general_sequence, (1, 5), 1, "max_n", 0),
+    (diagonal_sums.z_term_ratio, (4, 2), 0, "n", 0),
+    (diagonal_sums.z_term_ratio, (4, 2), 1, "lam", 0),
+    (diagonal_sums.central_p_factor_series, (4,), 0, "n", 0),
+    (differences.delta_expansion_coefficients, (3,), 0, "lam", 1),
+    (differences.stepwise_chain, ((1, 1, 3, 7, 19, 51), 2, 3), 1, "max_lambda", 1),
+    (differences.stepwise_chain, ((1, 1, 3, 7, 19, 51), 2, 3), 2, "max_n", 0),
+    (series.polynomial, ([1], 2), 1, "order", 0),
+    (series.gf_Z, (1, 3), 0, "lam", 0),
+    (series.gf_Z, (1, 3), 1, "order", 0),
+    (series.gf_P, (3,), 0, "order", 0),
+    (series.gf_nu, (3,), 0, "order", 0),
+    (quadrature.integrate_0_pi, (math.cos, 4), 1, "panels", 1),
+    (quadrature.z_by_integral, (4, 2), 0, "n", None),
+    (quadrature.z_by_integral, (4, 2), 1, "lam", None),
+    (quadrature.cos_power_expansion, (3,), 0, "alpha", 0),
+    (quadrature.b_identity_check, (0.5, 2), 1, "lam", 0),
+    (quadrature.b_reduction_chain_check, (0.5, 2), 1, "max_lambda", 1),
+]
+
+
+def _with(args: tuple, position: int, value: object) -> tuple:
+    return args[:position] + (value,) + args[position + 1 :]
+
+
+@pytest.mark.parametrize(
+    "function,args,position,name,lo", _INDEXED, ids=[f"{row[0].__name__}-{row[3]}" for row in _INDEXED]
+)
+def test_every_entry_point_keeps_the_index_rule(
+    function: Callable, args: tuple, position: int, name: str, lo: Optional[int]
+) -> None:
+    """A float index is refused naming it, where char(4.0, 2) once answered 6.0
+    and central_p_factor_series(4.0) 19.0, and first_mismatch(2.0) raised a
+    TypeError that named nothing; an int below the bound gets the common ValueError."""
+    function(*args)
+    float_value = float(args[position])
+    with pytest.raises(TypeError, match=f"^{name} must be an int, got {float_value!r}$"):
+        function(*_with(args, position, float_value))
+    if lo is not None:
+        with pytest.raises(ValueError, match=f"^{name} must be >= {lo}, got {lo - 1}$"):
+            function(*_with(args, position, lo - 1))
+
+
+def test_a_warm_cache_does_not_let_a_float_index_through() -> None:
+    assert series.gf_Z(1, 3).coeffs == (0, 0, 1, 2)
+    with pytest.raises(TypeError, match="^order must be an int, got 3.0$"):
+        series.gf_Z(1, 3.0)
+    with pytest.raises(TypeError, match="^lam must be an int, got 1.0$"):
+        series.gf_Z(1.0, 3)

@@ -276,6 +276,7 @@ def test_gf_Z_does_not_recurse_per_lambda() -> None:
 def test_gf_Z_takes_one_root_at_order_minus_2_lam_plus_2(root_orders) -> None:
     assert gf_Z(1200, 1205) == polynomial([], 1205)
     assert gf_Z(5, 9) == polynomial([], 9)
+    assert gf_Z(10, 9) == polynomial([], 9)  # lam past the order: no diagonal is asked for
     assert root_orders == []
     z = gf_Z(5, 30)
     assert root_orders == [22]

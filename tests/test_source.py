@@ -72,6 +72,33 @@ def test_package_has_no_assert_statements() -> None:
     assert found == []
 
 
+def _raised_index_rules(path: Path) -> list[int]:
+    # the lines of the raise statements in path whose message spells out the index rule
+    return [
+        raised.lineno
+        for raised in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(raised, ast.Raise)
+        and any(
+            isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and ("must be >= " in node.value or "must be an int" in node.value)
+            for node in ast.walk(raised)
+        )
+    ]
+
+
+def test_the_index_rule_is_written_once() -> None:
+    """The index rule's two messages are raised in exact.py alone: every other
+    module calls exact.index.  cli.py is exempt, as its messages name CLI options."""
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name not in ("exact.py", "cli.py")
+        for line in _raised_index_rules(path)
+    ]
+    assert len(_raised_index_rules(PACKAGE / "exact.py")) == 2
+    assert found == []
+
+
 def test_import_loads_no_numpy_and_no_dependency_is_declared() -> None:
     """The package runs on the standard library alone."""
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
