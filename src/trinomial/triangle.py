@@ -32,14 +32,14 @@ class TrinomialTriangle(NamedTuple):
 
     def row(self, n: int) -> tuple[int, ...]:
         """All 2n+1 coefficients of (1 + x + x^2)^n."""
-        if not 0 <= n <= self.max_n:
+        if not 0 <= index("n", n, None) <= self.max_n:
             raise IndexError(f"row {n} not built (have 0..{self.max_n})")
         return self.rows[n]
 
     def coeff(self, n: int, k: int) -> int:
         """Coefficient of x^k in (1 + x + x^2)^n; zero outside 0 <= k <= 2n."""
         row = self.row(n)
-        if k < 0 or k >= len(row):
+        if not 0 <= index("k", k, None) < len(row):
             return 0
         return row[k]
 

@@ -174,6 +174,10 @@ _INDEXED: list[tuple[Callable, tuple, int, str, Optional[int]]] = [
     (binomial.product_collapse_check, (5, 1, 2), 2, "beta", 0),
     (triangle.build_triangle, (3,), 0, "max_n", 0),  # triangle._rows
     (triangle.row, (3,), 0, "n", 0),
+    (triangle.build_triangle(3).row, (2,), 0, "n", None),  # IndexError outside 0..max_n
+    (triangle.build_triangle(3).coeff, (2, 1), 0, "n", None),
+    (triangle.build_triangle(3).coeff, (2, 1), 1, "k", None),  # 0 outside 0..2n
+    (triangle.leading_term_check, (triangle.build_triangle(3), 2), 1, "n", None),
     (recurrences.central_sequence, (3,), 0, "max_n", 0),
     (recurrences.general_sequence, (1, 5), 0, "lam", 0),
     (recurrences.general_sequence, (1, 5), 1, "max_n", 0),
@@ -202,7 +206,7 @@ def _with(args: tuple, position: int, value: object) -> tuple:
 
 
 @pytest.mark.parametrize(
-    "function,args,position,name,lo", _INDEXED, ids=[f"{row[0].__name__}-{row[3]}" for row in _INDEXED]
+    "function,args,position,name,lo", _INDEXED, ids=[f"{row[0].__qualname__}-{row[3]}" for row in _INDEXED]
 )
 def test_every_entry_point_keeps_the_index_rule(
     function: Callable, args: tuple, position: int, name: str, lo: Optional[int]

@@ -158,6 +158,15 @@ def test_the_package_keeps_four_bounded_caches(cold_caches) -> None:
     assert all(cache.cache_info().maxsize is not None for cache in cold_caches.values())
 
 
+def test_the_registry_holds_the_route_functions_themselves() -> None:
+    """Each _METHODS entry is the public function of its own module, so a route
+    call passes through exact.route's guard and no wrapper of the registry's."""
+    for name, route in methods._METHODS.items():
+        module = sys.modules[route.__module__]
+        assert route.__name__ in module.__all__, name
+        assert getattr(module, route.__name__) is route, name
+
+
 def _read_names(kinds: tuple[type, ...] = (ast.Name, ast.Attribute)) -> set[str]:
     # every name or attribute the package (outside __init__.py) or a demo reads,
     # each outside the function or class that defines it
