@@ -76,13 +76,13 @@ class PowerSeries:
     __slots__ = ("coeffs",)
     coeffs: tuple[int, ...]
 
-    def __init__(self, coeffs: tuple[int, ...]) -> None:
+    def __init__(self, coeffs: Sequence[int]) -> None:
         if len(coeffs) == 0:
             raise ValueError("a series needs at least the constant coefficient")
         for c in coeffs:
             if type(c) is not int:
                 raise TypeError(f"series coefficients must be int, got {c!r}")
-        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "coeffs", tuple(coeffs))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"PowerSeries is immutable; cannot set {name!r}")
@@ -133,20 +133,6 @@ class PowerSeries:
             return PowerSeries(tuple(div_exact(a, other) for a in self.coeffs))
         return NotImplemented
 
-    def __pow__(self, exponent: int) -> PowerSeries:
-        if exponent < 0:
-            raise ValueError("negative powers: divide explicitly instead")
-        result = polynomial([1], self.order)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
-
     def sqrt(self) -> PowerSeries:
         """Square root s with s_0 = 1, one coefficient at a time.
 
@@ -167,7 +153,7 @@ class PowerSeries:
             s.append(div_exact(a[k] - 2 * pairs - middle, 2))
         if not _is_root(s, a):
             raise ExactnessError("square root certification failed")
-        return PowerSeries(tuple(s))
+        return PowerSeries(s)
 
     # -- evaluation and rendering --------------------------------------------
 
@@ -207,7 +193,7 @@ def polynomial(coeffs: Sequence[int], order: int) -> PowerSeries:
             f"{len(coeffs)} coefficients do not fit in truncation order {order}"
         )
     padded = list(coeffs) + [0] * (order + 1 - len(coeffs))
-    return PowerSeries(tuple(padded))
+    return PowerSeries(padded)
 
 
 # ---------------------------------------------------------------------------
@@ -246,15 +232,18 @@ def gf_nu(order: int) -> PowerSeries:
 def z_series_diagonals(lams: range, max_n: int) -> list[list[int]]:
     """z(0..max_n, lam) for each lam in lams, as [x^(n - lam)] P M^lam.
 
-    The first diagonal takes P and M to order max_n - lam from one root and
-    raises M to the power lam; each further diagonal is one more factor of
-    M at one order less, on the bare coefficients.
+    The first diagonal takes P and M to order max_n - lam from one root, and
+    M^lam in one pass by Miller's recurrence; each further diagonal is one
+    more factor of M at one order less, on the bare coefficients.
     """
     lo = lams.start
     root, m = _root_and_m(max_n - lo + 2)  # P and M to x^(max_n - lo), from one root
     q = _p_from_root(root, max_n - lo)
     if lo:
-        q = (PowerSeries(m) ** lo * PowerSeries(q)).coeffs
+        f = [1]  # M^lo: M f' = lo M' f gives k f_k = sum_{i=1..k} ((lo + 1) i - k) M_i f_(k-i)
+        for k in range(1, len(q)):
+            f.append(div_exact(sum([((lo + 1) * i - k) * m[i] * f[k - i] for i in range(1, k + 1)]), k))
+        q = _mul(q, tuple(f))
     rows = [[0] * lo + list(q)]
     for lam in lams[1:]:
         q = _mul(q[: max_n - lam + 1], m)  # _mul reads m only to q's order

@@ -73,9 +73,11 @@ def test_delta_expansion_matches_surd_binomial_expansion() -> None:
         order = max(lam, 2)
         acc = polynomial([0], order)
         w2 = polynomial([-4, 0, 1], order)  # x^2 - 4
+        w2_power = polynomial([1], order)  # w2^(j // 2)
         for j in range(0, lam + 1, 2):
             term = polynomial([0] * (lam - j) + [2 * math.comb(lam, j)], order)
-            acc = acc - term * (w2 ** (j // 2))
+            acc = acc - term * w2_power
+            w2_power = w2_power * w2
         acc = acc / -(2**lam)
         coeffs = delta_expansion_coefficients(lam)
         expected = [0] * (order + 1)

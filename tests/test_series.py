@@ -77,15 +77,6 @@ def test_scalar_division_with_remainder_raises() -> None:
         a / 0
 
 
-def test_power() -> None:
-    x = polynomial([0, 1], 6)
-    assert (x**3).coeffs == (0, 0, 0, 1, 0, 0, 0)
-    one = polynomial([1], 6)
-    assert x**0 == one
-    with pytest.raises(ValueError):
-        x ** (-1)
-
-
 def test_sqrt_certified() -> None:
     radicand = polynomial([1, -2, -3], 120)
     root = radicand.sqrt()
@@ -227,6 +218,28 @@ def test_a_cold_series_diagonal_squares_no_root_back(monkeypatch) -> None:
     monkeypatch.setattr(series, "_mul", counting)
     assert z_series_diagonals(range(1), 300) == [list(central_sequence(300))]
     assert calls == []
+
+
+def test_a_deep_series_diagonal_raises_m_to_its_power_in_one_pass(monkeypatch) -> None:
+    calls: list[int] = []
+    mul = series._mul
+
+    def counting(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+        calls.append(len(a))
+        return mul(a, b)
+
+    def refused(*args: object) -> None:
+        raise AssertionError("the series route multiplied through PowerSeries")
+
+    monkeypatch.setattr(series, "_mul", counting)
+    monkeypatch.setattr(PowerSeries, "__mul__", refused)
+    max_n = 30
+    tri = build_triangle(max_n)
+    for lo in (2, 7, max_n - 1, max_n):
+        calls.clear()
+        (diagonal,) = z_series_diagonals(range(lo, lo + 1), max_n)
+        assert calls == [max_n - lo + 1], lo
+        assert diagonal == [tri.coeff(n, n + lo) for n in range(max_n + 1)], lo
 
 
 @pytest.mark.parametrize("radicand", [(1, -2, -3), (1, 4), (1, 2, 1), (1, -6, 9), (1, 0, 4, 0, 4)])
@@ -373,6 +386,10 @@ def test_a_series_is_an_immutable_value() -> None:
     assert a.coeffs == (1, 2, 0, 0)
     assert a != (1, 2, 0, 0) and not a == (1, 2, 0, 0)
     assert a == PowerSeries((1, 2, 0, 0)) and hash(a) == hash(PowerSeries((1, 2, 0, 0)))
+    coeffs = [1, 2, 0, 0]
+    b = PowerSeries(coeffs)
+    coeffs[1] = 5
+    assert b == a and hash(b) == hash(a) and b.coeffs == (1, 2, 0, 0)
     assert len({a, polynomial([1, 2], 3), polynomial([1, 2], 4)}) == 2
     assert repr(a) == "PowerSeries(coeffs=(1, 2, 0, 0))"
     assert eval(repr(a), {"PowerSeries": PowerSeries}) == a
