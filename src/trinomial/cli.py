@@ -96,7 +96,9 @@ def _cmd_sequence(args: argparse.Namespace) -> int:
 
 
 def _cmd_crosscheck(args: argparse.Namespace) -> int:
-    chosen = list(dict.fromkeys(args.methods.split(","))) if args.methods else methods.METHOD_NAMES
+    chosen = list(dict.fromkeys(args.methods.split(","))) if args.methods is not None else methods.METHOD_NAMES
+    if "" in chosen:  # --methods "" or "sum1,,ratio": no name was typed, so name the option
+        raise ValueError(f"--methods: unknown method ''; choose from {methods.METHOD_NAMES}")
     mismatch = methods.first_mismatch(args.max_n, chosen)
     if mismatch is None:
         pairs = (args.max_n + 1) * (args.max_n + 2) // 2

@@ -23,7 +23,7 @@ from itertools import islice
 from operator import sub
 from typing import Sequence
 
-from .exact import ExactnessError, div_exact, index, route
+from .exact import ExactnessError, div_exact, div_exact_each, index, route
 from .recurrences import central_sequence
 
 __all__ = [
@@ -91,23 +91,15 @@ def stepwise_chain(
 
     Entry lam - 1 of the result is z(0..max_n, lam).  Needs
     p(0..max_n + max_lambda) since every step consumes one index of
-    lookahead.
+    lookahead, and reads only those: any later values are ignored.
     """
     index("max_lambda", max_lambda, 1)
     index("max_n", max_n)
     needed = max_n + max_lambda + 1
     if len(p_values) < needed:
-        raise ValueError(
-            f"need p(0..{needed - 1}) but only {len(p_values)} values were given"
-        )
-    prev = list(p_values)
-    halved = []
-    for i in range(len(prev) - 1):
-        step = prev[i + 1] - prev[i]
-        if step % 2:
-            raise ExactnessError(f"p({i + 1}) - p({i}) = {step} is odd")
-        halved.append(step // 2)
-    chains = [prev, halved]
+        raise ValueError(f"need p(0..{needed - 1}) but only {len(p_values)} values were given")
+    p = p_values[:needed]
+    chains = [p, div_exact_each(list(map(sub, p[1:], p)), 2)]
     for _ in range(2, max_lambda + 1):
         older, cur = chains[-2], chains[-1]
         chains.append([cur[i + 1] - cur[i] - older[i] for i in range(len(cur) - 1)])

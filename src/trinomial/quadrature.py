@@ -130,12 +130,9 @@ def cos_power_expansion(alpha: int) -> list[int]:
     The weights sum to 2^alpha (set phi = 0).
     """
     index("alpha", alpha)
-    weights = []
-    for j in range(alpha // 2 + 1):
-        c = 2 * math.comb(alpha, j)
-        if alpha == 2 * j:  # cos(0 phi): fold the halves together once
-            c //= 2
-        weights.append(c)
+    weights = [2 * math.comb(alpha, j) for j in range((alpha + 1) // 2)]
+    if alpha % 2 == 0:  # cos(0 phi): the halves fold together once
+        weights.append(math.comb(alpha, alpha // 2))
     return weights
 
 

@@ -1,18 +1,17 @@
-"""Brute-force expansion of (1 + x + x^2)^n.
+"""Expansions of (1 + x + x^2)^n: the brute-force oracle, and row n alone.
 
-This is the oracle the cleverer routes are measured against.  Each row is
-produced from the previous one by the additive rule
-T(n, k) = T(n-1, k) + T(n-1, k-1) + T(n-1, k-2), which is nothing more than
-multiplying out one further factor of (1 + x + x^2).  Row n has 2n+1
-entries, is palindromic, and sums to 3^n.
+build_triangle and z_oracle_diagonals, the oracle the cleverer routes are
+measured against, build each row from the one before by the additive rule
+T(n, k) = T(n-1, k) + T(n-1, k-1) + T(n-1, k-2), multiplying out one further
+factor of (1 + x + x^2).  row(n) takes row n by its own recurrence in k, apart
+from the oracle.  Row n has 2n+1 entries, is palindromic, and sums to 3^n.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Iterator, NamedTuple
 
-from .exact import div_exact, index, route
+from .exact import ExactnessError, div_exact, index, route
 
 __all__ = ["TrinomialTriangle", "build_triangle", "row", "z_oracle_diagonals", "leading_term_check"]
 
@@ -63,9 +62,18 @@ def build_triangle(max_n: int) -> TrinomialTriangle:
 
 
 def row(n: int) -> tuple[int, ...]:
-    """Row n alone: build_triangle(n).row(n) in O(n) memory."""
+    """Row n alone, equal to build_triangle(n).row(n) but built from no other row:
+    f = (1 + x + x^2)^n has f'(1 + x + x^2) = n(1 + 2x) f, so (k + 1) T(n, k+1) =
+    (n - k) T(n, k) + (2n - k + 1) T(n, k-1), one exact division per entry of the
+    left half, which is mirrored.  Summing to 3^n certifies the row, centre too."""
     index("n", n)
-    return deque(_rows(n), maxlen=1)[0]
+    half = [0, 1]  # T(n, -1..k); the zero T(n, -1) is left out of the row
+    for k in range(n):
+        half.append(div_exact((n - k) * half[-1] + (2 * n - k + 1) * half[-2], k + 1))
+    result = tuple(half[1:] + half[-2:0:-1])
+    if sum(result) != 3**n:
+        raise ExactnessError(f"row {n} does not sum to 3^{n}")
+    return result
 
 
 @route

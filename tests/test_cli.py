@@ -139,6 +139,13 @@ def test_crosscheck_unknown_method(capsys) -> None:
     assert "unknown method" in err
 
 
+@pytest.mark.parametrize("names", ["", ","])
+def test_crosscheck_empty_method_name_exits_two(capsys, names: str) -> None:
+    code, out, err = _run(capsys, "crosscheck", "--max-n", "3", "--methods", names)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: --methods: unknown method ''; choose from")
+
+
 def test_gf_table(capsys) -> None:
     code, out, _ = _run(capsys, "gf", "--order", "4")
     assert code == 0

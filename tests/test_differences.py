@@ -171,6 +171,12 @@ def test_stepwise_chain_matches_oracle() -> None:
             assert seq[n] == tri.coeff(n, n + lam), (lam, n)
 
 
+def test_stepwise_chain_reads_only_p_up_to_max_n_plus_max_lambda() -> None:
+    p = list(central_sequence(13))  # p(0..10 + 3)
+    junk = [p[-1] + 1, 0]  # its first difference past p(13) is odd
+    assert stepwise_chain(p + junk, 3, 10) == stepwise_chain(p, 3, 10)
+
+
 def test_stepwise_chain_errors() -> None:
     p = central_sequence(5)
     with pytest.raises(ValueError):

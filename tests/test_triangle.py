@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+from itertools import count
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trinomial import triangle
+from trinomial.exact import ExactnessError, div_exact
 from trinomial.recurrences import central_sequence
-from trinomial.triangle import TrinomialTriangle, build_triangle, leading_term_check, z_oracle_diagonals
+from trinomial.triangle import TrinomialTriangle, build_triangle, leading_term_check, row, z_oracle_diagonals
 
 FIRST_ROWS = [
     (1,),
@@ -93,6 +97,44 @@ def test_leading_terms_catch_one_altered_entry(k: int) -> None:
     assert leading_term_check(altered, 8)
     assert not leading_term_check(altered, 9)
 
+
+def test_row_alone_matches_the_triangle_to_60() -> None:
+    tri = build_triangle(60)
+    for n in range(61):
+        assert row(n) == tri.row(n)
+
+
+def test_row_builds_no_other_row(monkeypatch) -> None:
+    calls = []
+    rows = triangle._rows
+    monkeypatch.setattr(triangle, "_rows", lambda max_n: calls.append(max_n) or rows(max_n))
+    build_triangle(3)
+    assert calls == [3]  # the count sees the oracle's rows
+    for n in range(41):
+        row(n)
+    assert calls == [3]
+
+
+def _one_step_too_large(step: int):
+    """div_exact, except that call number `step` returns its quotient plus 1."""
+    calls = count()
+
+    def altered(a: int, b: int) -> int:
+        return div_exact(a, b) + (next(calls) == step)
+
+    return altered
+
+
+def test_row_raises_whichever_step_is_one_too_large(monkeypatch) -> None:
+    # a later division catches most steps; the last one, the centre, only the
+    # 3^n certificate sees
+    for n in range(1, 41):
+        monkeypatch.setattr(triangle, "div_exact", _one_step_too_large(n))
+        assert row(n) == build_triangle(n).row(n)  # the n steps themselves pass
+        for step in range(n):
+            monkeypatch.setattr(triangle, "div_exact", _one_step_too_large(step))
+            with pytest.raises(ExactnessError, match="does not sum" if step == n - 1 else ""):
+                row(n)
 
 
 @pytest.mark.parametrize("lams", [range(-1, 1), range(0, 5, 2), range(4, 0, -1)])
