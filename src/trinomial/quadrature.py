@@ -106,7 +106,7 @@ def fourier_decomposition_check(n: int) -> bool:
     (absolute where the left side vanishes), or to the roundoff of the
     cosine sum, (n + 1) eps sum |terms|, where its terms cancel.
     """
-    if not 0 <= n <= 20:
+    if not 0 <= index("n", n, None) <= 20:
         raise ValueError(f"need 0 <= n <= 20, got {n}")
     tol, grid_points = 1e-9, 64
     diag = triangle.row(n)[n:]

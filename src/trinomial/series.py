@@ -15,11 +15,10 @@ The generating functions:
 so the coefficient of x^(n+lam) in Z[lam] is z(n, lam).  M is the
 Motzkin series, so z(n, lam) is [x^(n - lam)] P M^lam: the series route
 z_series_diagonals, of which gf_Z is one diagonal shifted by lam and
-gf_P the diagonal lam = 0.  The square root is worked out one
-coefficient at a time from s^2 = a, with one exact halving each, and
-certified by the identity 2 a s' = a' s.  P and M are read off the root:
-P needs no division, as 2 root root' = -2 - 6x gives P = 1/root =
--root'/(1 + 3x), and M_k = -r_(k+2)/2 is one exact halving each.
+gf_P the diagonal lam = 0.  One loop, _power, takes the square root
+(certified by 2 a s' = a' s) and M^lam by Miller's recurrence.  P and M are
+read off the root: P = 1/root = -root'/(1 + 3x) needs no division, as
+2 root root' = -2 - 6x, and M_k = -r_(k+2)/2 is one exact halving each.
 """
 
 from __future__ import annotations
@@ -52,6 +51,16 @@ def _mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     n = len(a)
     reversed_b = b[n - 1 :: -1]
     return tuple([sum(map(mul, a, reversed_b[n - 1 - k :])) for k in range(n)])
+
+
+def _power(b: tuple[int, ...], p: int, q: int, order: int) -> list[int]:
+    # b^(p/q) for b_0 = 1 by J. C. P. Miller's recurrence, from b f' = (p/q) b' f: q k f_k =
+    # sum_{i=1..k} ((p + q) i - q k) b_i f_(k-i), one div_exact by q k; b_i past b's end is 0
+    f = [1]
+    for k in range(1, order + 1):
+        terms = [((p + q) * i - q * k) * b[i] * f[k - i] for i in range(1, min(k, len(b) - 1) + 1)]
+        f.append(div_exact(sum(terms), q * k))
+    return f
 
 
 def _is_root(s: list[int], a: tuple[int, ...]) -> bool:
@@ -134,23 +143,17 @@ class PowerSeries:
         return NotImplemented
 
     def sqrt(self) -> PowerSeries:
-        """Square root s with s_0 = 1, one coefficient at a time.
+        """Square root s with s_0 = 1: a^(1/2) by _power, reading a to its degree d.
 
-        Requires unit constant term.  Comparing x^k in s^2 = a gives
-        2 s_k = a_k - sum_{i=1}^{k-1} s_i s_(k-i), so each coefficient is
-        one div_exact halving and a radicand with no integer root raises
-        there.  The result is certified by 2 a s' = a' s, which with
-        s_0 = a_0 = 1 holds iff s^2 = a and costs O(order) per nonzero a_i,
-        not a full squaring, so a wrong root cannot escape.
+        Requires unit constant term.  Each s_k is a sum of min(k, d) terms and one
+        div_exact by 2k, so a radicand with no integer root raises there.  The root
+        is certified by 2 a s' = a' s, which holds iff s^2 = a when s_0 = a_0 = 1
+        and costs O(order) per nonzero a_i, so a wrong root cannot escape.
         """
         if self.coeffs[0] != 1:
             raise ValueError("sqrt requires constant term 1")
-        a, s = self.coeffs, [1]
-        for k in range(1, len(a)):
-            # each pair i < k - i once, doubled, plus the middle square
-            pairs = sum(map(mul, s[1 : (k + 1) // 2], s[k - 1 : k // 2 : -1]))
-            middle = 0 if k % 2 else s[k // 2] ** 2
-            s.append(div_exact(a[k] - 2 * pairs - middle, 2))
+        a = self.coeffs
+        s = _power(a[: max(k for k, c in enumerate(a) if c) + 1], 1, 2, self.order)
         if not _is_root(s, a):
             raise ExactnessError("square root certification failed")
         return PowerSeries(s)
@@ -240,10 +243,7 @@ def z_series_diagonals(lams: range, max_n: int) -> list[list[int]]:
     root, m = _root_and_m(max_n - lo + 2)  # P and M to x^(max_n - lo), from one root
     q = _p_from_root(root, max_n - lo)
     if lo:
-        f = [1]  # M^lo: M f' = lo M' f gives k f_k = sum_{i=1..k} ((lo + 1) i - k) M_i f_(k-i)
-        for k in range(1, len(q)):
-            f.append(div_exact(sum([((lo + 1) * i - k) * m[i] * f[k - i] for i in range(1, k + 1)]), k))
-        q = _mul(q, tuple(f))
+        q = _mul(q, tuple(_power(m, lo, 1, max_n - lo)))
     rows = [[0] * lo + list(q)]
     for lam in lams[1:]:
         q = _mul(q[: max_n - lam + 1], m)  # _mul reads m only to q's order

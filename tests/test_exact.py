@@ -195,6 +195,7 @@ _INDEXED: list[tuple[Callable, tuple, int, str, Optional[int]]] = [
     (quadrature.integrate_0_pi, (math.cos, 4), 1, "panels", 1),
     (quadrature.z_by_integral, (4, 2), 0, "n", None),
     (quadrature.z_by_integral, (4, 2), 1, "lam", None),
+    (quadrature.fourier_decomposition_check, (4,), 0, "n", None),
     (quadrature.cos_power_expansion, (3,), 0, "alpha", 0),
     (quadrature.b_identity_check, (0.5, 2), 1, "lam", 0),
     (quadrature.b_reduction_chain_check, (0.5, 2), 1, "max_lambda", 1),

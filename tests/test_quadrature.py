@@ -316,3 +316,6 @@ def test_fourier_decomposition_check_catches_a_wrong_coefficient(monkeypatch) ->
 def test_fourier_decomposition_domain() -> None:
     with pytest.raises(ValueError):
         fourier_decomposition_check(21)
+    for bad in (None, "3"):  # the index rule's error, not a bare comparison TypeError
+        with pytest.raises(TypeError, match=f"^n must be an int, got {bad!r}$"):
+            fourier_decomposition_check(bad)  # type: ignore[arg-type]

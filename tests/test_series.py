@@ -91,13 +91,13 @@ def test_sqrt_requires_unit_constant() -> None:
 
 
 def test_sqrt_without_integer_root_raises() -> None:
-    # sqrt(1 + x) = 1 + x/2 - ...: the halving for x^1 meets an odd value
+    # sqrt(1 + x) = 1 + x/2 - ...: the division by 2 for x^1 meets an odd value
     with pytest.raises(ExactnessError):
         polynomial([1, 1], 8).sqrt()
 
 
 @pytest.fixture
-def halvings(monkeypatch) -> list[tuple[int, int]]:
+def divisions(monkeypatch) -> list[tuple[int, int]]:
     """Every (a, b) the series module divides exactly from here on."""
     calls: list[tuple[int, int]] = []
     div_exact = series.div_exact
@@ -110,10 +110,37 @@ def halvings(monkeypatch) -> list[tuple[int, int]]:
     return calls
 
 
-def test_sqrt_takes_one_exact_halving_per_coefficient(halvings) -> None:
+def test_sqrt_takes_one_exact_division_by_2k_per_coefficient(divisions) -> None:
+    # Miller's recurrence for a^(1/2): 2k s_k = sum_{i=1..min(k, 2)} (3i - 2k) a_i s_(k-i)
     polynomial([1, -2, -3], 40).sqrt()
-    assert len(halvings) == 40
-    assert {b for _, b in halvings} == {2}
+    assert [b for _, b in divisions] == list(range(2, 81, 2))
+
+
+def test_power_of_m_is_the_repeated_product() -> None:
+    _, m = series._root_and_m(32)  # M to x^30
+    product = (1,) + (0,) * 30
+    for lo in range(7):
+        assert series._power(m, lo, 1, 30) == list(product), lo
+        product = series._mul(product, m)
+
+
+def test_the_route_takes_its_root_from_the_radicand_trimmed_to_its_degree(monkeypatch) -> None:
+    # a padded radicand would make every root step sum over zeros: O(order^2), not O(order)
+    calls: list[tuple[int, int, int, int]] = []
+    power = series._power
+
+    def recording(b: tuple[int, ...], p: int, q: int, order: int) -> list[int]:
+        calls.append((len(b), p, q, order))
+        return power(b, p, q, order)
+
+    monkeypatch.setattr(series, "_power", recording)
+    tri = build_triangle(30)
+    assert z_series_diagonals(range(4, 5), 30) == [[tri.coeff(n, n + 4) for n in range(31)]]
+    # the root to x^28 from 1 - 2x - 3x^2 alone, then M^4 to x^26 from M's 27 terms
+    assert calls == [(3, 1, 2, 28), (27, 4, 1, 26)]
+    calls.clear()
+    assert gf_P(300).coeffs == central_sequence(300)
+    assert calls == [(3, 1, 2, 302)]
 
 
 def test_sqrt_of_a_square() -> None:
@@ -167,7 +194,7 @@ def test_z_series_diagonals_refuses_a_range_of_another_step() -> None:
             z_series_diagonals(lams, 8)
 
 
-def test_series_route_reads_m_off_the_root_by_one_halving_each(monkeypatch, halvings) -> None:
+def test_series_route_reads_m_off_the_root_by_one_halving_each(monkeypatch, divisions) -> None:
     def refuse(self: PowerSeries, other: object) -> None:
         raise AssertionError("nu needs no series subtraction or division")
 
@@ -176,35 +203,33 @@ def test_series_route_reads_m_off_the_root_by_one_halving_each(monkeypatch, halv
     tri = build_triangle(30)
     want = [[tri.coeff(n, n + lam) for n in range(31)] for lam in range(31)]
     assert z_series_diagonals(range(31), 30) == want
-    # the root to x^32 takes 32 halvings, and M to x^30 one more each
-    assert len(halvings) == 32 + 31
-    assert {b for _, b in halvings} == {2}
-    halvings.clear()
+    # the root to x^32 takes one division by 2k for each x^k, and M to x^30 one halving each
+    assert [b for _, b in divisions] == list(range(2, 65, 2)) + [2] * 31
+    divisions.clear()
     assert gf_nu(9).coeffs == (0, 0, 1, 1, 2, 4, 9, 21, 51, 127)
-    assert len(halvings) == 9 + 8
+    assert [b for _, b in divisions] == list(range(2, 19, 2)) + [2] * 8
 
 
-def test_a_root_with_a_wrong_x1_coefficient_fails_its_certificate(monkeypatch) -> None:
-    # sqrt's first halving gives r_1 = -1, which makes nu_0 = nu_1 = 0.  Moving r_1, a
-    # middle r_k or the last one by 2 keeps every later halving exact (the change to
-    # each later sum of products stays a multiple of 4), so only the certificate can
-    # catch it
-    halvings: list[int] = []
+def test_every_shifted_root_step_raises_and_the_last_fails_its_certificate(monkeypatch) -> None:
+    # root step k is _root_and_m's k-th exact division, by 2k.  Moving it by -1, +1 or +2
+    # makes a later step or a halving for M leave the integers, or fails the certificate;
+    # after the last step only the certificate runs before M's halvings
+    divisions: list[int] = []
     div_exact = series.div_exact
-    target = 0
+    target, shift = 0, 0
 
     def shifted(a: int, b: int) -> int:
-        halvings.append(a)
-        return div_exact(a, b) + (2 if len(halvings) == target else 0)
+        divisions.append(b)
+        return div_exact(a, b) + (shift if len(divisions) == target else 0)
 
     monkeypatch.setattr(series, "div_exact", shifted)
-    builds = ((lambda: gf_nu(12), 12), (lambda: z_series_diagonals(range(3), 12), 14), (lambda: gf_P(12), 14))
-    for build, order in builds:  # order: the root's, whose halvings come first
-        for target in (1, order // 2, order):
-            halvings.clear()
-            with pytest.raises(ExactnessError, match="certification"):
-                build()
-            assert len(halvings) == order, target
+    for order in (2, 8, 20, 42):
+        for target in range(1, order + 1):
+            for shift in (-1, 1, 2):
+                divisions.clear()
+                with pytest.raises(ExactnessError, match="certification" if target == order else None):
+                    series._root_and_m(order)
+                assert divisions[target - 1] == 2 * target, (order, target, shift)
 
 
 def test_a_cold_series_diagonal_squares_no_root_back(monkeypatch) -> None:
