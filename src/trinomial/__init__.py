@@ -11,7 +11,6 @@ they can be cross-checked mechanically.
 
 from .binomial import char, product_collapse_check, product_swap_check
 from .diagonal_sums import (
-    central_p_factor_series,
     z_sum_form1,
     z_sum_form2,
     z_sum_form3,
@@ -31,7 +30,7 @@ from .quadrature import (
     integrate_0_pi,
     z_by_integral,
 )
-from .recurrences import central_sequence, general_sequence
+from .recurrences import general_sequence
 from .series import PowerSeries, b_substitution_check, gf_P, gf_Z, gf_nu, polynomial
 from .triangle import TrinomialTriangle, build_triangle, leading_term_check
 
@@ -48,8 +47,6 @@ __all__ = [
     "z_sum_form2",
     "z_sum_form3",
     "z_term_ratio",
-    "central_p_factor_series",
-    "central_sequence",
     "general_sequence",
     "delta_expansion_coefficients",
     "stepwise_chain",

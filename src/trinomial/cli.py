@@ -264,6 +264,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if arg.startswith("--") and arg.endswith("=--"):  # argparse < 3.12 keeps no value for it
             parser.error(f"argument {arg[:-3]}: expected one argument")
     args = parser.parse_args(argv)
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit:  # print exact integers whole, however long; restored for in-process callers
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except ExactnessError as exc:  # a bug in the package, not bad input
@@ -275,6 +278,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except quadrature.QuadratureError as exc:
         print(f"quadrature error: {exc}", file=sys.stderr)
         return 3
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

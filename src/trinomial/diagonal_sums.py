@@ -35,7 +35,6 @@ __all__ = [
     "z_sum_form3",
     "z_term_ratio",
     "z_ratio_diagonals",
-    "central_p_factor_series",
 ]
 
 
@@ -185,21 +184,3 @@ def z_ratio_diagonals(lams: range, max_n: int) -> list[list[int]]:
     terms C(n, lam) read as column lam, as the sums read theirs."""
     return _diagonals(_ratio_diagonal, lams, max_n)
 
-
-def central_p_factor_series(n: int) -> int:
-    """p(n) = sum over k of C(2k, k) * char(n, 2k).
-
-    The central binomial factors C(2k, k) are built incrementally from the
-    step ratio (4k + 2) / (k + 1), with integrality checked at every step.
-    """
-    index("n", n)
-    total = 0
-    factor = 1
-    k = 0
-    while True:
-        weight = char(n, 2 * k)
-        if weight == 0:
-            return total
-        total += factor * weight
-        factor = div_exact(factor * (4 * k + 2), k + 1)
-        k += 1

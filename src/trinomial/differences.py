@@ -24,7 +24,7 @@ from operator import sub
 from typing import Sequence
 
 from .exact import ExactnessError, div_exact, div_exact_each, index, route
-from .recurrences import central_sequence
+from .recurrences import general_sequence
 
 __all__ = [
     "delta_expansion_coefficients",
@@ -62,7 +62,7 @@ def z_delta_diagonals(lams: range, max_n: int) -> list[list[int]]:
     the central column itself.
     """
     lo, top = lams[0], lams[-1]
-    row = list(central_sequence(max_n + top))
+    row = list(general_sequence(0, max_n + top))
     center = row[: max_n + 1]
     del row[:lo]  # every lam reads n >= lo only
     coeffs = {lam: delta_expansion_coefficients(lam) for lam in lams if lam}

@@ -9,29 +9,20 @@ leading factor deformed:
 
     z(n+2) = (n + 2) / ((n + 2)^2 - lam^2) * ((2n + 3) z(n+1) + 3 (n + 1) z(n)).
 
-Every step divides by (n + 2)^2 - lam^2, which is positive for all steps
-taken here; that and the integrality of every produced value are checked
-rather than trusted (each division is a div_exact), since a wrong
-recurrence usually announces itself as a remainder long before it
-produces a plausible-looking wrong integer.
+At lam = 0 this is the central step, so general_sequence(0, N) is the
+central column p(0..N), which the delta route reads.  Every step divides
+by (n + 2)^2 - lam^2, which is positive for all steps taken here; that
+and the integrality of every produced value are checked rather than
+trusted (each division is a div_exact), since a wrong recurrence
+usually announces itself as a remainder long before it produces a
+plausible-looking wrong integer.
 """
 
 from __future__ import annotations
 
 from .exact import ExactnessError, div_exact, index, route
 
-__all__ = ["central_sequence", "general_sequence", "z_recurrence_diagonals"]
-
-
-def central_sequence(max_n: int) -> tuple[int, ...]:
-    """Central coefficients p(0..max_n) from the three-term recurrence."""
-    index("max_n", max_n)
-    values = [1, 1][: max_n + 1]
-    for m in range(2, max_n + 1):
-        n = m - 2
-        step = div_exact((n + 1) * (values[m - 1] + 3 * values[m - 2]), n + 2)
-        values.append(values[m - 1] + step)
-    return tuple(values)
+__all__ = ["general_sequence", "z_recurrence_diagonals"]
 
 
 def general_sequence(lam: int, max_n: int) -> tuple[int, ...]:

@@ -86,7 +86,7 @@ def test_criterion_05_cross_method_consistency() -> None:
 
 
 def test_criterion_06_generating_functions() -> None:
-    ok = t.gf_P(60).coeffs == t.central_sequence(60)
+    ok = t.gf_P(60).coeffs == t.general_sequence(0, 60)
     tri = t.build_triangle(60)
     for lam in range(9):
         ints = t.gf_Z(lam, 60).coeffs
@@ -171,8 +171,7 @@ def test_criterion_10_property_battery() -> None:
             t.diagonal_values("recurrence", lam, 24)
             t.diagonal_values("delta", lam, 24)
             t.diagonal_values("series", lam, 24)
-        for n in range(41):
-            t.central_p_factor_series(n)
+        t.diagonal_values("sum3", 0, 40)
     except ExactnessError:
         integrality = False
     ok = palindromic and row_sums and pascal and products and leading and integrality

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from trinomial import cli, methods, quadrature, series, triangle
 from trinomial.exact import ExactnessError
-from trinomial.recurrences import central_sequence
+from trinomial.recurrences import general_sequence
 from trinomial.triangle import build_triangle
 
 
@@ -59,7 +59,46 @@ def test_row_json_parses_back_to_the_triangle_row(n: int) -> None:
 @given(n=st.integers(0, 120), method=st.sampled_from(methods.METHOD_NAMES))
 def test_central_json_parses_back_to_the_recurrence_column(n: int, method: str) -> None:
     payload = _json_of("central", "--max-n", str(n), "--method", method, "--format", "json")
-    assert tuple(int(v) for v in payload["values"]) == central_sequence(n)
+    assert tuple(int(v) for v in payload["values"]) == general_sequence(0, n)
+
+
+# each case prints p(1400), or a neighbour, of 667 digits: past a str-digit limit of 640
+_LONG_INTEGERS = {
+    "central --max-n 1400": (
+        lambda out: [line.split()[1] for line in out.splitlines()],
+        lambda: general_sequence(0, 1400),
+    ),
+    "diag --lambda 1 --max-n 1400 --format json": (
+        lambda out: json.loads(out)["values"],
+        lambda: general_sequence(1, 1400),
+    ),
+    "row --n 1400 --format csv": (
+        lambda out: [r[1] for r in csv.reader(io.StringIO(out))][1:],
+        lambda: triangle.row(1400),
+    ),
+    "gf --order 1400 --format json": (
+        lambda out: [c["numerator"] for c in json.loads(out)["coefficients"]],
+        lambda: general_sequence(0, 1400),
+    ),
+}
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no str-digit limit")
+@pytest.mark.parametrize("argv", list(_LONG_INTEGERS))
+def test_an_integer_past_the_str_digit_limit_prints_whole(capsys, argv: str) -> None:
+    read, expected = _LONG_INTEGERS[argv]
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code = cli.main(argv.split())
+        limit = sys.get_int_max_str_digits()
+    finally:
+        sys.set_int_max_str_digits(old)
+    out = capsys.readouterr().out
+    assert (code, limit) == (0, 640)  # printed, and the caller's limit is back
+    values = read(out)
+    assert values == [str(v) for v in expected()]
+    assert max(map(len, values)) > 640
 
 
 def test_central_csv(capsys) -> None:

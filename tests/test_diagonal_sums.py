@@ -7,7 +7,6 @@ import pytest
 from trinomial import diagonal_sums
 from trinomial.binomial import char
 from trinomial.diagonal_sums import (
-    central_p_factor_series,
     z_sum_form1,
     z_sum_form2,
     z_sum_form3,
@@ -280,14 +279,3 @@ def test_term_ratio_terms_match_form1_summands() -> None:
                 direct.append(t)
                 a += 1
             assert terms == direct
-
-
-def test_central_factor_series_golden() -> None:
-    assert [central_p_factor_series(n) for n in range(13)] == P_KNOWN
-
-
-def test_central_factor_series_matches_oracle() -> None:
-    for n in range(41):
-        assert central_p_factor_series(n) == _z(n, 0)
-    with pytest.raises(ValueError):
-        central_p_factor_series(-1)

@@ -11,7 +11,7 @@ from trinomial.differences import (
     z_delta_diagonals,
 )
 from trinomial.exact import ExactnessError
-from trinomial.recurrences import central_sequence
+from trinomial.recurrences import general_sequence
 from trinomial.series import polynomial
 from trinomial.triangle import build_triangle
 
@@ -116,7 +116,7 @@ def test_whole_ranges_to_max_n_60_match_oracle() -> None:
 def test_delta_expansion_is_zero_below_each_diagonal() -> None:
     # the route adds into n >= lam only; the full expansion at every n of 0..40 is
     # 2 z(n, lam), so 0 below the diagonal
-    p = central_sequence(80)
+    p = general_sequence(0, 80)
     orders = [list(p)]
     for _ in range(40):
         orders.append([b - a for a, b in zip(orders[-1], orders[-1][1:])])
@@ -146,16 +146,28 @@ def test_differences_start_at_the_lowest_live_diagonal(monkeypatch, lams, subtra
     assert count == subtractions
 
 
+def test_the_delta_route_reads_its_column_in_one_call(monkeypatch) -> None:
+    calls: list[tuple[int, int]] = []
+
+    def recording(lam: int, max_n: int) -> tuple[int, ...]:
+        calls.append((lam, max_n))
+        return general_sequence(lam, max_n)
+
+    monkeypatch.setattr(differences, "general_sequence", recording)
+    assert z_delta_diagonals(range(2, 6), 10) == [list(general_sequence(lam, 10)) for lam in range(2, 6)]
+    assert calls == [(0, 15)]  # p(0..max_n + top)
+
+
 def test_z_from_differences_errors(monkeypatch) -> None:
     # a base that is not the central column breaks the parity guarantee
     # at an n >= lam: the route computes no n below the diagonal
-    monkeypatch.setattr(differences, "central_sequence", lambda max_n: (1, 2, 4, 8, 17)[: max_n + 1])
+    monkeypatch.setattr(differences, "general_sequence", lambda lam, max_n: (1, 2, 4, 8, 17)[: max_n + 1])
     with pytest.raises(ExactnessError, match="lam=2, n=2"):
         z_delta_diagonals(range(2, 3), 2)
 
 
 def test_stepwise_chain_golden() -> None:
-    p = central_sequence(12)
+    p = general_sequence(0, 12)
     assert stepwise_chain(p, 3, 6) == [
         (0, 1, 2, 6, 16, 45, 126),
         (0, 0, 1, 3, 10, 30, 90),
@@ -164,7 +176,7 @@ def test_stepwise_chain_golden() -> None:
 
 
 def test_stepwise_chain_matches_oracle() -> None:
-    p = central_sequence(52)
+    p = general_sequence(0, 52)
     tri = build_triangle(40)
     for lam, seq in enumerate(stepwise_chain(p, 12, 40), start=1):
         for n in range(41):
@@ -172,13 +184,13 @@ def test_stepwise_chain_matches_oracle() -> None:
 
 
 def test_stepwise_chain_reads_only_p_up_to_max_n_plus_max_lambda() -> None:
-    p = list(central_sequence(13))  # p(0..10 + 3)
+    p = list(general_sequence(0, 13))  # p(0..10 + 3)
     junk = [p[-1] + 1, 0]  # its first difference past p(13) is odd
     assert stepwise_chain(p + junk, 3, 10) == stepwise_chain(p, 3, 10)
 
 
 def test_stepwise_chain_errors() -> None:
-    p = central_sequence(5)
+    p = general_sequence(0, 5)
     with pytest.raises(ValueError):
         stepwise_chain(p, 3, 4)  # needs p(0..7)
     with pytest.raises(ValueError):

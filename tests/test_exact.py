@@ -178,12 +178,10 @@ _INDEXED: list[tuple[Callable, tuple, int, str, Optional[int]]] = [
     (triangle.build_triangle(3).coeff, (2, 1), 0, "n", None),
     (triangle.build_triangle(3).coeff, (2, 1), 1, "k", None),  # 0 outside 0..2n
     (triangle.leading_term_check, (triangle.build_triangle(3), 2), 1, "n", None),
-    (recurrences.central_sequence, (3,), 0, "max_n", 0),
     (recurrences.general_sequence, (1, 5), 0, "lam", 0),
     (recurrences.general_sequence, (1, 5), 1, "max_n", 0),
     (diagonal_sums.z_term_ratio, (4, 2), 0, "n", 0),
     (diagonal_sums.z_term_ratio, (4, 2), 1, "lam", 0),
-    (diagonal_sums.central_p_factor_series, (4,), 0, "n", 0),
     (differences.delta_expansion_coefficients, (3,), 0, "lam", 1),
     (differences.stepwise_chain, ((1, 1, 3, 7, 19, 51), 2, 3), 1, "max_lambda", 1),
     (differences.stepwise_chain, ((1, 1, 3, 7, 19, 51), 2, 3), 2, "max_n", 0),
@@ -213,7 +211,7 @@ def test_every_entry_point_keeps_the_index_rule(
     function: Callable, args: tuple, position: int, name: str, lo: Optional[int]
 ) -> None:
     """A float index is refused naming it, where char(4.0, 2) once answered 6.0
-    and central_p_factor_series(4.0) 19.0, and first_mismatch(2.0) raised a
+    and a sum for p(n) gave 19.0 at n = 4.0, and first_mismatch(2.0) raised a
     TypeError that named nothing; an int below the bound gets the common ValueError."""
     function(*args)
     float_value = float(args[position])

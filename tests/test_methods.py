@@ -103,7 +103,7 @@ _ROUTE_BUILDERS = (
     (triangle, "_rows"),
     (diagonal_sums, "_char_table"),
     (recurrences, "general_sequence"),
-    (differences, "central_sequence"),
+    (differences, "general_sequence"),
     (series, "_root_and_m"),
 )
 
@@ -139,10 +139,10 @@ def test_a_max_n_that_is_no_int_is_refused_naming_it() -> None:
 
 
 def test_delta_past_the_diagonal_builds_no_table(monkeypatch) -> None:
-    def refuse(max_n):
+    def refuse(lam, max_n):
         raise AssertionError("central column built")
 
-    monkeypatch.setattr(methods.differences, "central_sequence", refuse)
+    monkeypatch.setattr(methods.differences, "general_sequence", refuse)
     assert diagonal_values("delta", 1200, 5) == [0] * 6
 
 

@@ -4,14 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from trinomial.recurrences import central_sequence, general_sequence
+from trinomial.recurrences import general_sequence
 from trinomial.triangle import build_triangle
 
 P_KNOWN = (1, 1, 3, 7, 19, 51, 141, 393, 1107, 3139, 8953, 25653, 73789)
 
 
 def test_central_golden() -> None:
-    assert central_sequence(12) == P_KNOWN
+    assert general_sequence(0, 12) == P_KNOWN
 
 
 def test_central_worked_steps() -> None:
@@ -21,10 +21,10 @@ def test_central_worked_steps() -> None:
 
 
 def test_central_short_sequences() -> None:
-    assert central_sequence(0) == (1,)
-    assert central_sequence(1) == (1, 1)
+    assert general_sequence(0, 0) == (1,)
+    assert general_sequence(0, 1) == (1, 1)
     with pytest.raises(ValueError):
-        central_sequence(-1)
+        general_sequence(0, -1)
 
 
 def test_general_lambda_one_golden() -> None:
@@ -38,7 +38,11 @@ def test_general_lambda_two_golden() -> None:
 
 
 def test_general_reduces_to_central_at_lambda_zero() -> None:
-    assert general_sequence(0, 40) == central_sequence(40)
+    # at lam = 0 the deformed step is the central one, (n + 2) p(n+2) = (2n + 3) p(n+1) + 3 (n + 1) p(n)
+    p = general_sequence(0, 40)
+    assert p[:2] == (1, 1)
+    for n in range(39):
+        assert (n + 2) * p[n + 2] == (2 * n + 3) * p[n + 1] + 3 * (n + 1) * p[n], n
 
 
 def test_general_seeds() -> None:
@@ -70,6 +74,6 @@ def test_general_rejects_bad_arguments() -> None:
 
 
 def test_growth_sanity() -> None:
-    p = central_sequence(201)
+    p = general_sequence(0, 201)
     for n in range(5, 201):
         assert 2 * p[n] < p[n + 1] < 3 * p[n]

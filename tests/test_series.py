@@ -10,7 +10,7 @@ import pytest
 
 from trinomial import series
 from trinomial.exact import ExactnessError
-from trinomial.recurrences import central_sequence
+from trinomial.recurrences import general_sequence
 from trinomial.series import (
     PowerSeries,
     b_substitution_check,
@@ -139,7 +139,7 @@ def test_the_route_takes_its_root_from_the_radicand_trimmed_to_its_degree(monkey
     # the root to x^28 from 1 - 2x - 3x^2 alone, then M^4 to x^26 from M's 27 terms
     assert calls == [(3, 1, 2, 28), (27, 4, 1, 26)]
     calls.clear()
-    assert gf_P(300).coeffs == central_sequence(300)
+    assert gf_P(300).coeffs == general_sequence(0, 300)
     assert calls == [(3, 1, 2, 302)]
 
 
@@ -154,16 +154,16 @@ def test_factorization_of_radicand() -> None:
 
 
 def test_gf_P_matches_recurrence() -> None:
-    assert gf_P(120).coeffs == central_sequence(120)
+    assert gf_P(120).coeffs == general_sequence(0, 120)
 
 
 def test_p_comes_from_the_root_without_a_division() -> None:
     # P = -root' / (1 + 3x) one coefficient at a time; there is no series division
     tri = build_triangle(40)
     assert z_series_diagonals(range(3, 4), 40) == [[tri.coeff(n, n + 3) for n in range(41)]]
-    assert z_series_diagonals(range(41), 40)[0] == list(central_sequence(40))
+    assert z_series_diagonals(range(41), 40)[0] == list(general_sequence(0, 40))
     for order in (0, 1, 2, 7, 300):
-        assert gf_P(order).coeffs == tuple(central_sequence(order))
+        assert gf_P(order).coeffs == tuple(general_sequence(0, order))
 
 
 def test_gf_nu_prefix() -> None:
@@ -241,7 +241,7 @@ def test_a_cold_series_diagonal_squares_no_root_back(monkeypatch) -> None:
         return mul(a, b)
 
     monkeypatch.setattr(series, "_mul", counting)
-    assert z_series_diagonals(range(1), 300) == [list(central_sequence(300))]
+    assert z_series_diagonals(range(1), 300) == [list(general_sequence(0, 300))]
     assert calls == []
 
 

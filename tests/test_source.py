@@ -27,7 +27,6 @@ PAPER_IDENTITIES = (
     "stepwise_chain",
     "product_swap_check",
     "product_collapse_check",
-    "central_p_factor_series",
     "cos_power_expansion",
 )
 
