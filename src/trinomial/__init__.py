@@ -9,14 +9,14 @@ floating point.  The `methods` registry gives all routes one signature so
 they can be cross-checked mechanically.
 """
 
-from .binomial import char, product_collapse_check, product_swap_check
+from .binomial import char
 from .diagonal_sums import (
     z_sum_form1,
     z_sum_form2,
     z_sum_form3,
     z_term_ratio,
 )
-from .differences import delta_expansion_coefficients, stepwise_chain
+from .differences import delta_expansion_coefficients
 from .exact import ExactnessError, div_exact
 from .methods import METHOD_NAMES, central_values, diagonal_values, first_mismatch
 from .quadrature import (
@@ -24,7 +24,6 @@ from .quadrature import (
     QuadratureResult,
     b_identity_check,
     b_reduction_chain_check,
-    cos_power_expansion,
     fourier_decomposition_check,
     gf_by_integral,
     integrate_0_pi,
@@ -38,8 +37,6 @@ __all__ = [
     "ExactnessError",
     "div_exact",
     "char",
-    "product_swap_check",
-    "product_collapse_check",
     "TrinomialTriangle",
     "build_triangle",
     "leading_term_check",
@@ -49,7 +46,6 @@ __all__ = [
     "z_term_ratio",
     "general_sequence",
     "delta_expansion_coefficients",
-    "stepwise_chain",
     "PowerSeries",
     "polynomial",
     "gf_P",
@@ -61,7 +57,6 @@ __all__ = [
     "integrate_0_pi",
     "z_by_integral",
     "fourier_decomposition_check",
-    "cos_power_expansion",
     "gf_by_integral",
     "b_identity_check",
     "b_reduction_chain_check",

@@ -29,7 +29,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from . import methods, quadrature, series, triangle
-from .exact import ExactnessError, parse_rational
+from .exact import DomainError, ExactnessError, parse_rational
 
 _FORMATS = ("table", "csv", "json")
 
@@ -58,13 +58,13 @@ def _inside(text: str, name: str, lo: Fraction, hi: Fraction, bounds: str) -> fl
     # the literal is checked exactly, then as the double the checks receive
     try:
         value = parse_rational(text)
-    except ValueError as exc:
-        raise ValueError(f"--{name}: {exc}") from None
+    except DomainError as exc:
+        raise DomainError(f"--{name}: {exc}") from None
     if not lo < value < hi:
-        raise ValueError(f"need {bounds}, got {text}")
+        raise DomainError(f"need {bounds}, got {text}")
     x = float(value)
     if not float(lo) < x < float(hi):
-        raise ValueError(f"{name} = {text} rounds to {x}, outside {bounds}")
+        raise DomainError(f"{name} = {text} rounds to {x}, outside {bounds}")
     return x
 
 
@@ -75,9 +75,9 @@ def _tolerance(text: str) -> float:
     except ValueError:
         tol = math.nan
     if not math.isfinite(tol):
-        raise ValueError(f"--tol must be a finite number, got {text}")
+        raise DomainError(f"--tol must be a finite number, got {text}")
     if tol < quadrature.MIN_TOL:
-        raise ValueError(f"--tol must be at least {quadrature.MIN_TOL}, got {text}")
+        raise DomainError(f"--tol must be at least {quadrature.MIN_TOL}, got {text}")
     return tol
 
 
@@ -98,7 +98,7 @@ def _cmd_sequence(args: argparse.Namespace) -> int:
 def _cmd_crosscheck(args: argparse.Namespace) -> int:
     chosen = list(dict.fromkeys(args.methods.split(","))) if args.methods is not None else methods.METHOD_NAMES
     if "" in chosen:  # --methods "" or "sum1,,ratio": no name was typed, so name the option
-        raise ValueError(f"--methods: unknown method ''; choose from {methods.METHOD_NAMES}")
+        raise DomainError(f"--methods: unknown method ''; choose from {methods.METHOD_NAMES}")
     mismatch = methods.first_mismatch(args.max_n, chosen)
     if mismatch is None:
         pairs = (args.max_n + 1) * (args.max_n + 2) // 2
@@ -133,7 +133,7 @@ def _cmd_gf(args: argparse.Namespace) -> int:
 def _cmd_quad(args: argparse.Namespace) -> int:
     if args.kind == "z":
         if args.n is None or args.lam is None:
-            raise ValueError("quad --kind z needs --n and --lambda")
+            raise DomainError("quad --kind z needs --n and --lambda")
         result = quadrature.z_by_integral(args.n, args.lam)
         exact = triangle.row(args.n)[args.n + args.lam]
         extra = {
@@ -144,7 +144,7 @@ def _cmd_quad(args: argparse.Namespace) -> int:
         }
     else:
         if args.x is None:
-            raise ValueError("quad --kind gf needs --x")
+            raise DomainError("quad --kind gf needs --x")
         x = _inside(args.x, "x", Fraction(-1), Fraction(1, 3), "-1 < x < 1/3")
         result = quadrature.gf_by_integral(x, tol=_tolerance(args.tol))
         extra = {"x": args.x}
@@ -164,7 +164,7 @@ def _cmd_identity(args: argparse.Namespace) -> int:
     b = _inside(args.b, "b", Fraction(0), Fraction(1), "0 < b < 1")
     tol = _tolerance(args.tol)
     if args.lambda_max < 0:
-        raise ValueError(f"--lambda-max must be >= 0, got {args.lambda_max}")
+        raise DomainError(f"--lambda-max must be >= 0, got {args.lambda_max}")
     failures = 0
     for lam in range(args.lambda_max + 1):
         ok = quadrature.b_identity_check(b, lam, tol=tol)
@@ -272,7 +272,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ExactnessError as exc:  # a bug in the package, not bad input
         print(f"integrality error: {exc}", file=sys.stderr)
         return 4
-    except ValueError as exc:  # bad input; any other error is a bug and raises
+    except DomainError as exc:  # bad input; any other error is a bug and raises
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except quadrature.QuadratureError as exc:

@@ -11,25 +11,19 @@ lam - 2j >= 0.  The right-hand side is always even; the halving is checked.
 z_delta_diagonals streams the difference orders: each order is added into
 every doubled diagonal that reads it and then replaced by the next, so one
 order is held at a time and no table of differences is kept.
-
-The paper's stepwise chain builds the diagonals one at a time:
-q(n) = (p(n+1) - p(n)) / 2 and then
-z[lam+1](n) = z[lam](n+1) - z[lam](n) - z[lam-1](n).
 """
 
 from __future__ import annotations
 
 from itertools import islice
 from operator import sub
-from typing import Sequence
 
-from .exact import ExactnessError, div_exact, div_exact_each, index, route
+from .exact import ExactnessError, div_exact, index, route
 from .recurrences import general_sequence
 
 __all__ = [
     "delta_expansion_coefficients",
     "z_delta_diagonals",
-    "stepwise_chain",
 ]
 
 
@@ -82,25 +76,3 @@ def z_delta_diagonals(lams: range, max_n: int) -> list[list[int]]:
                 )
         doubled[lam] = [0] * lam + [value >> 1 for value in values]
     return [center if lam == 0 else doubled[lam] for lam in lams]
-
-
-def stepwise_chain(
-    p_values: Sequence[int], max_lambda: int, max_n: int
-) -> list[tuple[int, ...]]:
-    """Diagonals 1..max_lambda, each for n = 0..max_n, built one from the next.
-
-    Entry lam - 1 of the result is z(0..max_n, lam).  Needs
-    p(0..max_n + max_lambda) since every step consumes one index of
-    lookahead, and reads only those: any later values are ignored.
-    """
-    index("max_lambda", max_lambda, 1)
-    index("max_n", max_n)
-    needed = max_n + max_lambda + 1
-    if len(p_values) < needed:
-        raise ValueError(f"need p(0..{needed - 1}) but only {len(p_values)} values were given")
-    p = p_values[:needed]
-    chains = [p, div_exact_each(list(map(sub, p[1:], p)), 2)]
-    for _ in range(2, max_lambda + 1):
-        older, cur = chains[-2], chains[-1]
-        chains.append([cur[i + 1] - cur[i] - older[i] for i in range(len(cur) - 1)])
-    return [tuple(chain[: max_n + 1]) for chain in chains[1:]]

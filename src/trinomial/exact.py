@@ -3,10 +3,11 @@
 Python ints already give arbitrary-precision integers, and every route in
 the package stays in them, so this module only adds the pieces the rest of
 the package leans on: division that fails loudly when a remainder would be
-discarded, strict parsing of rational literals, and two argument rules.
+discarded, strict parsing of rational literals, two argument rules, and
+DomainError, which every refusal of bad input raises.
 ``index`` is the one index rule of every public entry point: an index that
 is no int raises TypeError "n must be an int, got 4.0", and one below its
-bound, 0 unless stated, raises ValueError "n must be >= 0, got -1".  ``route``
+bound, 0 unless stated, raises DomainError "n must be >= 0, got -1".  ``route``
 is the one guard of the (lams, max_n) contract every registered route wears.
 ``fractions.Fraction`` appears only for inputs that really are rational, such
 as a quadrature point given as "1/4".  No floats are produced here.
@@ -21,9 +22,14 @@ from itertools import repeat
 from operator import floordiv, mod
 from typing import Callable, Optional, Sequence
 
-__all__ = ["ExactnessError", "div_exact", "div_exact_each", "parse_rational", "index", "route"]
+__all__ = ["DomainError", "ExactnessError", "div_exact", "div_exact_each", "parse_rational", "index", "route"]
 
 _RATIONAL_RE = re.compile(r"([+-]?[0-9]+)(?:/([+-]?[0-9]+))?\Z")
+
+
+class DomainError(ValueError):
+    """Bad input: an argument outside the domain the package documents for it.
+    The CLI reports it, and no other ValueError, as exit 2."""
 
 
 class ExactnessError(ArithmeticError):
@@ -64,27 +70,27 @@ def div_exact_each(values: Sequence[int], divisor: int) -> list[int]:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "22/7" or "-123" into a normalized Fraction; "1/0" is a ValueError too."""
+    """Parse "22/7" or "-123" into a normalized Fraction; "1/0" is a DomainError too."""
     m = _RATIONAL_RE.match(text)
     if not m:
-        raise ValueError(f"not a rational literal: {text!r}")
+        raise DomainError(f"not a rational literal: {text!r}")
     num = int(m.group(1))
     den_text = m.group(2)
     if den_text is None:
         return Fraction(num)
     den = int(den_text)
     if den == 0:
-        raise ValueError(f"zero denominator in {text!r}")
+        raise DomainError(f"zero denominator in {text!r}")
     return Fraction(num, den)
 
 
 def index(name: str, value: int, lo: Optional[int] = 0) -> int:
     """value, if it keeps the index rule: an int (a bool is one) >= lo, or any
-    int for lo None; else the rule's TypeError or ValueError, naming name."""
+    int for lo None; else the rule's TypeError or DomainError, naming name."""
     if not isinstance(value, int):
         raise TypeError(f"{name} must be an int, got {value!r}")
     if lo is not None and value < lo:
-        raise ValueError(f"{name} must be >= {lo}, got {value}")
+        raise DomainError(f"{name} must be >= {lo}, got {value}")
     return value
 
 
@@ -102,7 +108,7 @@ def route(body: Route) -> Route:
     def guarded(lams: range, max_n: int) -> list[list[int]]:
         index("max_n", max_n)
         if type(lams) is not range or lams.start < 0 or lams.step != 1:
-            raise ValueError(f"need range(lo >= 0, hi) of step 1, got {lams!r}")
+            raise DomainError(f"need range(lo >= 0, hi) of step 1, got {lams!r}")
         live = range(lams.start, min(lams.stop, max_n + 1))
         rows = body(live, max_n) if live else []
         return rows + [[0] * (max_n + 1) for _ in range(len(lams) - len(live))]

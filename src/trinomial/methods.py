@@ -4,7 +4,7 @@ Each route is one public function of its own module, and all of them keep
 one contract, enforced by the one guard exact.route they wear: a route takes
 (lams, max_n) and returns z(0..max_n, lam) for each lam in lams, in one pass.
 max_n keeps the index rule of exact.index; lams must be a range(lo, hi) of
-step 1 with lo >= 0, else ValueError "need range(lo >= 0, hi) of step 1,
+step 1 with lo >= 0, else DomainError "need range(lo >= 0, hi) of step 1,
 got range(0, 5, 2)".  A diagonal past max_n is all zeros, and its route
 body never sees it.
 
@@ -23,7 +23,7 @@ from functools import lru_cache
 from typing import Optional
 
 from . import diagonal_sums, differences, recurrences, series, triangle
-from .exact import Route, index
+from .exact import DomainError, Route, index
 
 __all__ = [
     "METHOD_NAMES",
@@ -50,7 +50,7 @@ METHOD_NAMES: tuple[str, ...] = tuple(_METHODS)
 def _check_methods(names: list[str]) -> None:
     for name in names:
         if name not in _METHODS:
-            raise ValueError(f"unknown method {name!r}; choose from {METHOD_NAMES}")
+            raise DomainError(f"unknown method {name!r}; choose from {METHOD_NAMES}")
 
 
 @lru_cache(maxsize=16)
@@ -79,8 +79,11 @@ def first_mismatch(
     Each chosen method runs once over the whole range.  Returns None if
     everything agrees, otherwise (method, lam, n, got, expected) for the
     first disagreement, scanning lam by lam and, within one lam, the
-    methods in the order given.  max_n keeps the index rule of exact.index.
+    methods in the order given.  max_n keeps the index rule of exact.index, and
+    methods, if given, is a nonempty list of names: a bare string is refused.
     """
+    if methods is not None and (isinstance(methods, str) or not methods):
+        raise DomainError(f"methods must be a nonempty list of method names, got {methods!r}")
     chosen = list(dict.fromkeys(methods if methods is not None else METHOD_NAMES))
     _check_methods(chosen)
     index("max_n", max_n)

@@ -31,7 +31,7 @@ import sys
 from typing import Callable, NamedTuple
 
 from . import triangle
-from .exact import index
+from .exact import DomainError, index
 
 __all__ = [
     "QuadratureResult",
@@ -39,7 +39,6 @@ __all__ = [
     "integrate_0_pi",
     "z_by_integral",
     "fourier_decomposition_check",
-    "cos_power_expansion",
     "gf_by_integral",
     "b_identity_check",
     "b_reduction_chain_check",
@@ -88,7 +87,7 @@ def z_by_integral(n: int, lam: int) -> QuadratureResult:
     index("n", n, None)  # ints only; the bounds are the one check below
     index("lam", lam, None)
     if not 0 <= lam <= n <= 30:
-        raise ValueError(f"need 0 <= lam <= n <= 30, got lam={lam}, n={n}")
+        raise DomainError(f"need 0 <= lam <= n <= 30, got lam={lam}, n={n}")
 
     def f(phi: float) -> float:
         return math.cos(lam * phi) * (1.0 + 2.0 * math.cos(phi)) ** n
@@ -107,7 +106,7 @@ def fourier_decomposition_check(n: int) -> bool:
     cosine sum, (n + 1) eps sum |terms|, where its terms cancel.
     """
     if not 0 <= index("n", n, None) <= 20:
-        raise ValueError(f"need 0 <= n <= 20, got {n}")
+        raise DomainError(f"need 0 <= n <= 20, got {n}")
     tol, grid_points = 1e-9, 64
     diag = triangle.row(n)[n:]
     for j in range(grid_points):
@@ -120,20 +119,6 @@ def fourier_decomposition_check(n: int) -> bool:
         if abs(lhs - rhs) > max(tol * max(1.0, abs(lhs)), roundoff):
             return False
     return True
-
-
-def cos_power_expansion(alpha: int) -> list[int]:
-    """Integer weights m_j with 2^alpha cos^alpha phi = sum_j m_j cos((alpha - 2j) phi).
-
-    m_j = 2 C(alpha, j), except that the j = alpha/2 entry (the constant
-    term, present only for even alpha) is C(alpha, alpha/2) taken once.
-    The weights sum to 2^alpha (set phi = 0).
-    """
-    index("alpha", alpha)
-    weights = [2 * math.comb(alpha, j) for j in range((alpha + 1) // 2)]
-    if alpha % 2 == 0:  # cos(0 phi): the halves fold together once
-        weights.append(math.comb(alpha, alpha // 2))
-    return weights
 
 
 def _mapped_integral(lo: float, hi: float, lam: int, tol: float, scale: float) -> QuadratureResult:
@@ -160,7 +145,7 @@ def _mapped_integral(lo: float, hi: float, lam: int, tol: float, scale: float) -
     by (-1)^lam, which puts the peak at psi = 0, where the nodes are exact.
     """
     if not MIN_TOL <= tol < math.inf:
-        raise ValueError(f"tol must be finite and at least {MIN_TOL}, got {tol}")
+        raise DomainError(f"tol must be finite and at least {MIN_TOL}, got {tol}")
     sign = (-1) ** lam if lo < hi else 1
     lo, hi = max(lo, hi), min(lo, hi)
     s = (hi / lo) ** 0.25
@@ -205,7 +190,7 @@ def gf_by_integral(x: float, tol: float = 1e-9) -> QuadratureResult:
     a gap past tol relative (absolute below 1) raises QuadratureError.
     """
     if not -1.0 < x < 1.0 / 3.0:
-        raise ValueError(f"need -1 < x < 1/3, got {x}")
+        raise DomainError(f"need -1 < x < 1/3, got {x}")
     lo, hi = 1.0 + x, 1.0 - 2.0 * x - x  # each exact near the edge where it vanishes
     closed = 1.0 / math.sqrt(lo * hi)
     result = _mapped_integral(lo, hi, 0, tol, math.pi * closed)
@@ -225,7 +210,7 @@ def b_identity_check(b: float, lam: int, tol: float = 1e-9) -> bool:
     """Check Int_0^pi cos(lam phi) / (1 - 2b cos phi + b^2) dphi
     equals pi b^lam / (1 - b^2), for 0 < b < 1."""
     if not 0.0 < b < 1.0:
-        raise ValueError(f"need 0 < b < 1, got {b}")
+        raise DomainError(f"need 0 < b < 1, got {b}")
     index("lam", lam)
     closed = math.pi * b**lam / ((1.0 - b) * (1.0 + b))
     scale = max(1.0, abs(closed))
@@ -240,7 +225,7 @@ def b_reduction_chain_check(b: float, max_lambda: int, tol: float = 1e-9) -> boo
     (1 + b^2) I(0) - 2 b I(1) = pi.
     """
     if not 0.0 < b < 1.0:
-        raise ValueError(f"need 0 < b < 1, got {b}")
+        raise DomainError(f"need 0 < b < 1, got {b}")
     index("max_lambda", max_lambda, 1)
     closed = math.pi / ((1.0 - b) * (1.0 + b))
     scale = max(1.0, closed)

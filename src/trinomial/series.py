@@ -29,7 +29,7 @@ from functools import lru_cache
 from operator import mul
 from typing import Sequence, Union
 
-from .exact import ExactnessError, div_exact, index, route
+from .exact import DomainError, ExactnessError, div_exact, index, route
 
 __all__ = [
     "PowerSeries",
@@ -87,7 +87,7 @@ class PowerSeries:
 
     def __init__(self, coeffs: Sequence[int]) -> None:
         if len(coeffs) == 0:
-            raise ValueError("a series needs at least the constant coefficient")
+            raise DomainError("a series needs at least the constant coefficient")
         for c in coeffs:
             if type(c) is not int:
                 raise TypeError(f"series coefficients must be int, got {c!r}")
@@ -116,7 +116,7 @@ class PowerSeries:
 
     def _match(self, other: PowerSeries) -> None:
         if self.order != other.order:
-            raise ValueError(
+            raise DomainError(
                 f"order mismatch: {self.order} vs {other.order}; "
                 "build both series at one order"
             )
@@ -151,7 +151,7 @@ class PowerSeries:
         and costs O(order) per nonzero a_i, so a wrong root cannot escape.
         """
         if self.coeffs[0] != 1:
-            raise ValueError("sqrt requires constant term 1")
+            raise DomainError("sqrt requires constant term 1")
         a = self.coeffs
         s = _power(a[: max(k for k, c in enumerate(a) if c) + 1], 1, 2, self.order)
         if not _is_root(s, a):
@@ -192,7 +192,7 @@ def polynomial(coeffs: Sequence[int], order: int) -> PowerSeries:
     """A polynomial viewed as a series of the given truncation order."""
     index("order", order)
     if len(coeffs) > order + 1:
-        raise ValueError(
+        raise DomainError(
             f"{len(coeffs)} coefficients do not fit in truncation order {order}"
         )
     padded = list(coeffs) + [0] * (order + 1 - len(coeffs))
@@ -279,12 +279,12 @@ def b_substitution_check(b: Union[Fraction, int]) -> tuple[Fraction, Fraction]:
         1e-9; a gap past the tail bound plus 1e-9 raises ExactnessError.
 
     N grows without limit as b -> 1: 56 at b = 1/3, 1435 at b = 4/5.  The
-    domain is N <= 1500, about 0 < b <= 0.8037; past it ValueError is
+    domain is N <= 1500, about 0 < b <= 0.8037; past it DomainError is
     raised before any series is built.  Returns (x, radical) exactly.
     """
     b = Fraction(b)
     if not 0 < b < 1:
-        raise ValueError(f"b must be strictly between 0 and 1, got {b}")
+        raise DomainError(f"b must be strictly between 0 and 1, got {b}")
     x = b / (b * b + b + 1)
     radical = (1 - b * b) / (1 + b + b * b)
     if radical * radical != 1 - 2 * x - 3 * x * x:
@@ -296,7 +296,7 @@ def b_substitution_check(b: Union[Fraction, int]) -> tuple[Fraction, Fraction]:
     log_bound = math.log(bound.numerator) - math.log(bound.denominator)
     order = max(0, math.ceil(log_bound / log_q) - 1) if log_q < 0 else budget + 1
     if order > budget:
-        raise ValueError(f"b = {b} needs nu past order {budget}, the budget")
+        raise DomainError(f"b = {b} needs nu past order {budget}, the budget")
     tail = q ** (order + 1) / (3 * (1 - q))
     gap = abs(gf_nu(order).evaluate(x) - b * x)
     if gap > tail + tol:

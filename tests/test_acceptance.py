@@ -12,6 +12,7 @@ import time
 from typing import Optional
 
 import trinomial as t
+from identities import product_collapse_check, product_swap_check
 from trinomial.exact import ExactnessError
 
 P_KNOWN = [1, 1, 3, 7, 19, 51, 141, 393, 1107, 3139, 8953, 25653, 73789]
@@ -158,7 +159,7 @@ def test_criterion_10_property_battery() -> None:
         for k in range(n + 1)
     )
     products = all(
-        t.product_swap_check(n, a, b) and t.product_collapse_check(n, a, b)
+        product_swap_check(n, a, b) and product_collapse_check(n, a, b)
         for n in range(25)
         for a in range(n + 1)
         for b in range(n + 1)

@@ -4,7 +4,8 @@ import math
 
 import pytest
 
-from trinomial.binomial import _char_in_range, char, product_collapse_check, product_swap_check
+from identities import product_collapse_check, product_swap_check
+from trinomial.binomial import _char_in_range, char
 
 
 def test_char_matches_stdlib_comb_exhaustive() -> None:

@@ -405,6 +405,16 @@ def test_a_zero_division_inside_the_package_is_a_bug_not_bad_input(monkeypatch) 
         cli.main(["diag", "--lambda", "2", "--max-n", "5"])
 
 
+def test_a_value_error_inside_the_package_is_a_bug_not_bad_input(monkeypatch) -> None:
+    # only a DomainError, the package's own refusal, is reported as exit 2
+    def broken(lams, max_n):
+        raise ValueError("not enough values to unpack")
+
+    monkeypatch.setitem(methods._METHODS, "recurrence", broken)
+    with pytest.raises(ValueError, match="^not enough values to unpack$"):
+        cli.main(["central", "--max-n", "5"])
+
+
 def test_a_zero_denominator_is_bad_input_naming_its_option(capsys) -> None:
     code, out, err = _run(capsys, "quad", "--kind", "gf", "--x", "1/0")
     assert (code, out) == (2, "")

@@ -4,12 +4,9 @@ import math
 
 import pytest
 
+from identities import stepwise_chain
 from trinomial import differences
-from trinomial.differences import (
-    delta_expansion_coefficients,
-    stepwise_chain,
-    z_delta_diagonals,
-)
+from trinomial.differences import delta_expansion_coefficients, z_delta_diagonals
 from trinomial.exact import ExactnessError
 from trinomial.recurrences import general_sequence
 from trinomial.series import polynomial

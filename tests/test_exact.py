@@ -166,12 +166,6 @@ _INDEXED: list[tuple[Callable, tuple, int, str, Optional[int]]] = [
     (methods.first_mismatch, (2,), 0, "max_n", 0),
     (binomial.char, (4, 2), 0, "n", 0),
     (binomial.char, (4, 2), 1, "lam", None),
-    (binomial.product_swap_check, (5, 1, 2), 0, "n", 0),
-    (binomial.product_swap_check, (5, 1, 2), 1, "alpha", 0),
-    (binomial.product_swap_check, (5, 1, 2), 2, "beta", 0),
-    (binomial.product_collapse_check, (5, 1, 2), 0, "n", 0),
-    (binomial.product_collapse_check, (5, 1, 2), 1, "alpha", 0),
-    (binomial.product_collapse_check, (5, 1, 2), 2, "beta", 0),
     (triangle.build_triangle, (3,), 0, "max_n", 0),  # triangle._rows
     (triangle.row, (3,), 0, "n", 0),
     (triangle.build_triangle(3).row, (2,), 0, "n", None),  # IndexError outside 0..max_n
@@ -183,8 +177,6 @@ _INDEXED: list[tuple[Callable, tuple, int, str, Optional[int]]] = [
     (diagonal_sums.z_term_ratio, (4, 2), 0, "n", 0),
     (diagonal_sums.z_term_ratio, (4, 2), 1, "lam", 0),
     (differences.delta_expansion_coefficients, (3,), 0, "lam", 1),
-    (differences.stepwise_chain, ((1, 1, 3, 7, 19, 51), 2, 3), 1, "max_lambda", 1),
-    (differences.stepwise_chain, ((1, 1, 3, 7, 19, 51), 2, 3), 2, "max_n", 0),
     (series.polynomial, ([1], 2), 1, "order", 0),
     (series.gf_Z, (1, 3), 0, "lam", 0),
     (series.gf_Z, (1, 3), 1, "order", 0),
@@ -194,7 +186,6 @@ _INDEXED: list[tuple[Callable, tuple, int, str, Optional[int]]] = [
     (quadrature.z_by_integral, (4, 2), 0, "n", None),
     (quadrature.z_by_integral, (4, 2), 1, "lam", None),
     (quadrature.fourier_decomposition_check, (4,), 0, "n", None),
-    (quadrature.cos_power_expansion, (3,), 0, "alpha", 0),
     (quadrature.b_identity_check, (0.5, 2), 1, "lam", 0),
     (quadrature.b_reduction_chain_check, (0.5, 2), 1, "max_lambda", 1),
 ]

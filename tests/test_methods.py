@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trinomial import binomial, diagonal_sums, differences, methods, recurrences, series, triangle
+from trinomial.exact import DomainError
 from trinomial.methods import METHOD_NAMES, central_values, diagonal_values, first_mismatch
 from trinomial.triangle import build_triangle
 
@@ -56,6 +57,14 @@ def test_bad_arguments_rejected() -> None:
         diagonal_values("oracle", 0, -1)
     with pytest.raises(ValueError, match="max_n must be >= 0"):
         first_mismatch(-1)
+
+
+@pytest.mark.parametrize("names", [[], (), "sum1"], ids=["list", "tuple", "str"])
+def test_first_mismatch_refuses_no_methods_and_a_bare_string(names) -> None:
+    # [] once reported agreement with no route run, and "sum1" was read letter by letter
+    message = f"^methods must be a nonempty list of method names, got {re.escape(repr(names))}$"
+    with pytest.raises(DomainError, match=message):
+        first_mismatch(5, names)
 
 
 def test_first_mismatch_clean() -> None:

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from identities import cos_power_expansion
 from trinomial import cli, quadrature, triangle
 from trinomial.binomial import char
 from trinomial.quadrature import (
@@ -15,7 +16,6 @@ from trinomial.quadrature import (
     QuadratureResult,
     b_identity_check,
     b_reduction_chain_check,
-    cos_power_expansion,
     fourier_decomposition_check,
     gf_by_integral,
     integrate_0_pi,

@@ -21,15 +21,6 @@ from trinomial.series import PowerSeries
 PACKAGE = Path(trinomial.__file__).resolve().parent
 DEMOS = sorted((PACKAGE.parents[1] / "demos").glob("*.py"))
 
-# public statements of the paper's identities, checked by their own tests and
-# called by nothing else
-PAPER_IDENTITIES = (
-    "stepwise_chain",
-    "product_swap_check",
-    "product_collapse_check",
-    "cos_power_expansion",
-)
-
 CLASSES = (PowerSeries, triangle.TrinomialTriangle, quadrature.QuadratureResult)
 
 # PowerSeries dunders kept without a caller in the package or the demos, each for
@@ -95,6 +86,20 @@ def test_the_index_rule_is_written_once() -> None:
         for line in _raised_index_rules(path)
     ]
     assert len(_raised_index_rules(PACKAGE / "exact.py")) == 2
+    assert found == []
+
+
+def test_the_package_refuses_bad_input_with_domain_error_only() -> None:
+    """cli.main reports a DomainError as exit 2 and lets any other ValueError
+    through as a bug, so the package raises no bare ValueError of its own."""
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+        and isinstance(node.exc.func, ast.Name) and node.exc.func.id == "ValueError"
+    ]
+    assert len(list(PACKAGE.glob("*.py"))) > 5
     assert found == []
 
 
@@ -182,8 +187,8 @@ def _read_names(kinds: tuple[type, ...] = (ast.Name, ast.Attribute)) -> set[str]
 def test_every_public_name_has_a_caller() -> None:
     """A public helper whose only caller is its own test is not kept: each name in
     the __all__ of trinomial and of each of its modules is read by the package
-    outside its own definition and __init__.py, or by a demo, or is one of the
-    paper's identities."""
+    outside its own definition and __init__.py, or by a demo.  No name is exempt;
+    the paper's side identities that only tests check live in tests/identities.py."""
     used = _read_names()
     modules = [trinomial] + [
         importlib.import_module(f"trinomial.{path.stem}")
@@ -191,8 +196,8 @@ def test_every_public_name_has_a_caller() -> None:
         if path.name != "__init__.py"
     ]
     public = [(m.__name__, name) for m in modules for name in getattr(m, "__all__", ())]
-    assert len(modules) > 5 and set(PAPER_IDENTITIES) <= set(trinomial.__all__)
-    assert [pair for pair in public if pair[1] not in used | set(PAPER_IDENTITIES)] == []
+    assert len(modules) > 5
+    assert [pair for pair in public if pair[1] not in used] == []
 
 
 def test_every_public_class_member_has_a_reader() -> None:
