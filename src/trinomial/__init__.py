@@ -6,55 +6,32 @@ binomial sums, a term-ratio product, three-term recurrences, forward
 differences of the central column, and exact generating functions; a
 small quadrature layer verifies the matching integral representations in
 floating point.  The `methods` registry gives all routes one signature so
-they can be cross-checked mechanically.
+they can be cross-checked mechanically.  This namespace re-exports only
+the names the demos and the README import; every other public name is
+imported from its module, as in `from trinomial.exact import DomainError`.
 """
 
-from .binomial import char
-from .diagonal_sums import (
-    z_sum_form1,
-    z_sum_form2,
-    z_sum_form3,
-    z_term_ratio,
-)
-from .differences import delta_expansion_coefficients
-from .exact import ExactnessError, div_exact
+from .diagonal_sums import z_term_ratio
 from .methods import METHOD_NAMES, central_values, diagonal_values, first_mismatch
 from .quadrature import (
-    QuadratureError,
-    QuadratureResult,
     b_identity_check,
     b_reduction_chain_check,
     fourier_decomposition_check,
     gf_by_integral,
-    integrate_0_pi,
     z_by_integral,
 )
-from .recurrences import general_sequence
-from .series import PowerSeries, b_substitution_check, gf_P, gf_Z, gf_nu, polynomial
-from .triangle import TrinomialTriangle, build_triangle, leading_term_check
+from .series import b_substitution_check, gf_P, gf_Z, gf_nu, polynomial
+from .triangle import build_triangle, leading_term_check
 
 __all__ = [
-    "ExactnessError",
-    "div_exact",
-    "char",
-    "TrinomialTriangle",
     "build_triangle",
     "leading_term_check",
-    "z_sum_form1",
-    "z_sum_form2",
-    "z_sum_form3",
     "z_term_ratio",
-    "general_sequence",
-    "delta_expansion_coefficients",
-    "PowerSeries",
     "polynomial",
     "gf_P",
     "gf_nu",
     "gf_Z",
     "b_substitution_check",
-    "QuadratureResult",
-    "QuadratureError",
-    "integrate_0_pi",
     "z_by_integral",
     "fourier_decomposition_check",
     "gf_by_integral",

@@ -2,9 +2,9 @@
 assumes.
 
 ``char(n, lam)`` is the ordinary binomial coefficient C(n, lam) extended by
-char(n, lam) = 0 for lam < 0 or lam > n.  The out-of-range zeros are load
-bearing: the diagonal sums iterate until a factor vanishes instead of
-carrying explicit upper bounds.
+char(n, lam) = 0 for lam < 0 or lam > n.  Every sum in the package carries
+explicit bounds and never asks for an out-of-range entry; the zeros are kept
+because they make Pascal's rule hold on the whole row, edges included.
 """
 
 from __future__ import annotations

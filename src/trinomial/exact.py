@@ -47,8 +47,6 @@ def div_exact(a: int, b: int) -> int:
     Raises ZeroDivisionError for b == 0 and ExactnessError when the
     division would leave a remainder.
     """
-    if b == 0:
-        raise ZeroDivisionError("exact division by zero")
     q, r = divmod(a, b)
     if r != 0:
         raise ExactnessError(f"{a} is not divisible by {b}")

@@ -49,6 +49,8 @@ METHOD_NAMES: tuple[str, ...] = tuple(_METHODS)
 
 def _check_methods(names: list[str]) -> None:
     for name in names:
+        if not isinstance(name, str):
+            raise TypeError(f"method must be a str, got {name!r}")
         if name not in _METHODS:
             raise DomainError(f"unknown method {name!r}; choose from {METHOD_NAMES}")
 
@@ -84,14 +86,14 @@ def first_mismatch(
     """
     if methods is not None and (isinstance(methods, str) or not methods):
         raise DomainError(f"methods must be a nonempty list of method names, got {methods!r}")
-    chosen = list(dict.fromkeys(methods if methods is not None else METHOD_NAMES))
-    _check_methods(chosen)
+    chosen = list(methods if methods is not None else METHOD_NAMES)
+    _check_methods(chosen)  # before dict.fromkeys hashes the names
     index("max_n", max_n)
     lams = range(max_n + 1)
     # the oracle directly, so that only the chosen routes run through _METHODS
     reference = triangle.z_oracle_diagonals(lams, max_n)
     first = None
-    for name in chosen:
+    for name in dict.fromkeys(chosen):
         if name == "oracle":
             continue
         for lam, (got, want) in enumerate(zip(_METHODS[name](lams, max_n), reference)):

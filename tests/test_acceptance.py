@@ -61,7 +61,7 @@ def test_criterion_03_term_ratio_tables() -> None:
 
 
 def test_criterion_04_offset_one_recurrence() -> None:
-    ok = t.general_sequence(1, 6) == (0, 1, 2, 6, 16, 45, 126)
+    ok = t.recurrences.general_sequence(1, 6) == (0, 1, 2, 6, 16, 45, 126)
     _verdict(4, "first off-center diagonal 0,1,2,6,16,45,126 from its recurrence", ok)
 
 
@@ -70,7 +70,7 @@ def test_criterion_05_cross_method_consistency() -> None:
     ok = t.first_mismatch(200) is None
     tri = t.build_triangle(200)
     for lam in range(9):
-        rec = t.general_sequence(lam, 200)
+        rec = t.recurrences.general_sequence(lam, 200)
         ser = t.gf_Z(lam, 200 + lam).coeffs
         for n in range(201):
             if not (rec[n] == ser[n + lam] == tri.coeff(n, n + lam)):
@@ -87,7 +87,7 @@ def test_criterion_05_cross_method_consistency() -> None:
 
 
 def test_criterion_06_generating_functions() -> None:
-    ok = t.gf_P(60).coeffs == t.general_sequence(0, 60)
+    ok = t.gf_P(60).coeffs == t.recurrences.general_sequence(0, 60)
     tri = t.build_triangle(60)
     for lam in range(9):
         ints = t.gf_Z(lam, 60).coeffs
@@ -154,7 +154,7 @@ def test_criterion_10_property_battery() -> None:
     palindromic = all(tri.row(n) == tri.row(n)[::-1] for n in range(65))
     row_sums = all(sum(tri.row(n)) == 3**n for n in range(65))
     pascal = all(
-        t.char(n, k) == t.char(n - 1, k - 1) + t.char(n - 1, k)
+        t.binomial.char(n, k) == t.binomial.char(n - 1, k - 1) + t.binomial.char(n - 1, k)
         for n in range(1, 65)
         for k in range(n + 1)
     )

@@ -67,6 +67,16 @@ def test_first_mismatch_refuses_no_methods_and_a_bare_string(names) -> None:
         first_mismatch(5, names)
 
 
+@pytest.mark.parametrize("name", [["sum1"], None], ids=["list", "none"])
+def test_a_method_name_that_is_no_str_is_refused_naming_it(name) -> None:
+    # an unhashable name once escaped as a bare "unhashable type: 'list'"
+    message = f"^method must be a str, got {re.escape(repr(name))}$"
+    with pytest.raises(TypeError, match=message):
+        diagonal_values(name, 0, 3)
+    with pytest.raises(TypeError, match=message):
+        first_mismatch(3, ["sum1", name])
+
+
 def test_first_mismatch_clean() -> None:
     assert first_mismatch(12) is None
 

@@ -187,8 +187,10 @@ def _read_names(kinds: tuple[type, ...] = (ast.Name, ast.Attribute)) -> set[str]
 def test_every_public_name_has_a_caller() -> None:
     """A public helper whose only caller is its own test is not kept: each name in
     the __all__ of trinomial and of each of its modules is read by the package
-    outside its own definition and __init__.py, or by a demo.  No name is exempt;
-    the paper's side identities that only tests check live in tests/identities.py."""
+    outside its own definition and __init__.py, or by a demo.  A read in
+    __init__.py counts for nothing, so a name the namespace re-exports passes only
+    as the next test allows.  No name is exempt; the paper's side identities that
+    only tests check live in tests/identities.py."""
     used = _read_names()
     modules = [trinomial] + [
         importlib.import_module(f"trinomial.{path.stem}")
@@ -198,6 +200,30 @@ def test_every_public_name_has_a_caller() -> None:
     public = [(m.__name__, name) for m in modules for name in getattr(m, "__all__", ())]
     assert len(modules) > 5
     assert [pair for pair in public if pair[1] not in used] == []
+
+
+def _readme_blocks() -> list[str]:
+    # the body of each ```python block of README.md
+    readme = (PACKAGE.parents[1] / "README.md").read_text(encoding="utf-8")
+    return re.findall(r"^```python\n(.*?)^```$", readme, re.MULTILINE | re.DOTALL)
+
+
+def test_the_namespace_holds_only_what_the_demos_and_the_readme_import() -> None:
+    """trinomial re-exports a name only if a demo or a README python block imports
+    it from trinomial; every other public name is imported from its own module."""
+    parser = doctest.DocTestParser()
+    sources = [path.read_text(encoding="utf-8") for path in DEMOS]
+    examples = [parser.get_examples(block) for block in _readme_blocks()]
+    sources += ["".join(example.source for example in block) for block in examples]
+    imported = {
+        alias.name
+        for source in sources
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.module == "trinomial"
+        for alias in node.names
+    }
+    assert DEMOS and "first_mismatch" in imported
+    assert sorted(set(trinomial.__all__) - imported) == []
 
 
 def test_every_public_class_member_has_a_reader() -> None:
@@ -239,8 +265,7 @@ def test_every_series_operator_runs_in_the_demos_or_the_series_route(monkeypatch
 
 def test_readme_python_blocks_run_as_doctests() -> None:
     """Each ```python block of README.md, run as a doctest, prints what it shows."""
-    readme = (PACKAGE.parents[1] / "README.md").read_text(encoding="utf-8")
-    blocks = re.findall(r"^```python\n(.*?)^```$", readme, re.MULTILINE | re.DOTALL)
+    blocks = _readme_blocks()
     parser, runner = doctest.DocTestParser(), doctest.DocTestRunner()
     for index, block in enumerate(blocks):
         runner.run(parser.get_doctest(block, {}, f"README.md[{index}]", "README.md", 0))
