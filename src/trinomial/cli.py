@@ -29,7 +29,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from . import methods, quadrature, series, triangle
-from .exact import DomainError, ExactnessError, parse_rational
+from .exact import DomainError, ExactnessError, index, parse_rational
 
 _FORMATS = ("table", "csv", "json")
 
@@ -163,8 +163,7 @@ def _cmd_quad(args: argparse.Namespace) -> int:
 def _cmd_identity(args: argparse.Namespace) -> int:
     b = _inside(args.b, "b", Fraction(0), Fraction(1), "0 < b < 1")
     tol = _tolerance(args.tol)
-    if args.lambda_max < 0:
-        raise DomainError(f"--lambda-max must be >= 0, got {args.lambda_max}")
+    index("--lambda-max", args.lambda_max)
     failures = 0
     for lam in range(args.lambda_max + 1):
         ok = quadrature.b_identity_check(b, lam, tol=tol)

@@ -72,14 +72,10 @@ def parse_rational(text: str) -> Fraction:
     m = _RATIONAL_RE.match(text)
     if not m:
         raise DomainError(f"not a rational literal: {text!r}")
-    num = int(m.group(1))
-    den_text = m.group(2)
-    if den_text is None:
-        return Fraction(num)
-    den = int(den_text)
+    den = int(m.group(2) or 1)
     if den == 0:
         raise DomainError(f"zero denominator in {text!r}")
-    return Fraction(num, den)
+    return Fraction(int(m.group(1)), den)
 
 
 def index(name: str, value: int, lo: Optional[int] = 0) -> int:

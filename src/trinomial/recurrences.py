@@ -35,11 +35,7 @@ def general_sequence(lam: int, max_n: int) -> tuple[int, ...]:
     """
     index("lam", lam)
     index("max_n", max_n)
-    values = [0] * min(lam, max_n + 1)
-    if lam <= max_n:
-        values.append(1)
-    if lam + 1 <= max_n:
-        values.append(lam + 1)
+    values = ([0] * min(lam, max_n + 1) + [1, lam + 1])[: max_n + 1]
     for m in range(lam + 2, max_n + 1):
         n = m - 2
         denom = (n + 2) ** 2 - lam * lam

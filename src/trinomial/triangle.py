@@ -25,14 +25,10 @@ class TrinomialTriangle(NamedTuple):
 
     rows: tuple[tuple[int, ...], ...]
 
-    @property
-    def max_n(self) -> int:
-        return len(self.rows) - 1
-
     def row(self, n: int) -> tuple[int, ...]:
         """All 2n+1 coefficients of (1 + x + x^2)^n."""
-        if not 0 <= index("n", n, None) <= self.max_n:
-            raise IndexError(f"row {n} not built (have 0..{self.max_n})")
+        if not 0 <= index("n", n, None) < len(self.rows):
+            raise IndexError(f"row {n} not built (have 0..{len(self.rows) - 1})")
         return self.rows[n]
 
     def coeff(self, n: int, k: int) -> int:

@@ -66,6 +66,14 @@ def test_general_truncation_below_seeds() -> None:
     assert general_sequence(3, 3) == (0, 0, 0, 1)
 
 
+def test_general_seed_list_stops_at_max_n() -> None:
+    # a lam far past max_n builds max_n + 1 zeros, not lam of them
+    assert general_sequence(10**12, 2) == (0, 0, 0)
+    for lam in (0, 1, 2, 5, 9):
+        assert general_sequence(lam, lam) == (0,) * lam + (1,)
+        assert general_sequence(lam, lam + 1) == (0,) * lam + (1, lam + 1)
+
+
 def test_general_rejects_bad_arguments() -> None:
     with pytest.raises(ValueError):
         general_sequence(-1, 5)

@@ -26,8 +26,6 @@ CLASSES = (PowerSeries, triangle.TrinomialTriangle, quadrature.QuadratureResult)
 # PowerSeries dunders kept without a caller in the package or the demos, each for
 # its reason
 UNCOUNTED_OPERATORS = {
-    "__init__": "builds and checks every series",
-    "__eq__": "series are values: two with one coefficient tuple are equal",
     "__hash__": "equal series hash alike, as a value type must",
     "__repr__": "the unambiguous form a failing test or a debugger shows",
     "__setattr__": "immutability guard",
@@ -78,11 +76,11 @@ def _raised_index_rules(path: Path) -> list[int]:
 
 def test_the_index_rule_is_written_once() -> None:
     """The index rule's two messages are raised in exact.py alone: every other
-    module calls exact.index.  cli.py is exempt, as its messages name CLI options."""
+    module calls exact.index, the CLI too, with the option as the name."""
     found = [
         f"{path.name}:{line}"
         for path in sorted(PACKAGE.glob("*.py"))
-        if path.name not in ("exact.py", "cli.py")
+        if path.name != "exact.py"
         for line in _raised_index_rules(path)
     ]
     assert len(_raised_index_rules(PACKAGE / "exact.py")) == 2
