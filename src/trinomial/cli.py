@@ -23,7 +23,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -66,19 +65,6 @@ def _inside(text: str, name: str, lo: Fraction, hi: Fraction, bounds: str) -> fl
     if not float(lo) < x < float(hi):
         raise DomainError(f"{name} = {text} rounds to {x}, outside {bounds}")
     return x
-
-
-def _tolerance(text: str) -> float:
-    # float() also takes "nan" and "inf", which no check can be held to
-    try:
-        tol = float(text)
-    except ValueError:
-        tol = math.nan
-    if not math.isfinite(tol):
-        raise DomainError(f"--tol must be a finite number, got {text}")
-    if tol < quadrature.MIN_TOL:
-        raise DomainError(f"--tol must be at least {quadrature.MIN_TOL}, got {text}")
-    return tol
 
 
 def _cmd_row(args: argparse.Namespace) -> int:
@@ -146,7 +132,7 @@ def _cmd_quad(args: argparse.Namespace) -> int:
         if args.x is None:
             raise DomainError("quad --kind gf needs --x")
         x = _inside(args.x, "x", Fraction(-1), Fraction(1, 3), "-1 < x < 1/3")
-        result = quadrature.gf_by_integral(x, tol=_tolerance(args.tol))
+        result = quadrature.gf_by_integral(x)
         extra = {"x": args.x}
     payload = {
         "command": "quad",
@@ -162,14 +148,13 @@ def _cmd_quad(args: argparse.Namespace) -> int:
 
 def _cmd_identity(args: argparse.Namespace) -> int:
     b = _inside(args.b, "b", Fraction(0), Fraction(1), "0 < b < 1")
-    tol = _tolerance(args.tol)
     index("--lambda-max", args.lambda_max)
     failures = 0
     for lam in range(args.lambda_max + 1):
-        ok = quadrature.b_identity_check(b, lam, tol=tol)
+        ok = quadrature.b_identity_check(b, lam)
         print(f"closed form, lam={lam}: {'ok' if ok else 'FAILED'}")
         failures += 0 if ok else 1
-    chain_ok = quadrature.b_reduction_chain_check(b, max(args.lambda_max, 1), tol=tol)
+    chain_ok = quadrature.b_reduction_chain_check(b, max(args.lambda_max, 1))
     print(f"reduction chain to lam={max(args.lambda_max, 1)}: {'ok' if chain_ok else 'FAILED'}")
     failures += 0 if chain_ok else 1
     return 1 if failures else 0
@@ -226,14 +211,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int)
     p.add_argument("--lambda", dest="lam", type=int)
     p.add_argument("--x", help="evaluation point as a rational such as 1/4")
-    p.add_argument("--tol", default="1e-9", help="accuracy asked of --kind gf")
     _add_format(p)
     p.set_defaults(func=_cmd_quad)
 
     p = sub.add_parser("identity", help="b-substitution integral identities")
     p.add_argument("--b", required=True, help="rational in (0,1) such as 3/10")
     p.add_argument("--lambda-max", type=int, default=8)
-    p.add_argument("--tol", default="1e-9")
     p.set_defaults(func=_cmd_identity)
 
     return parser

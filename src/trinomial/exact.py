@@ -25,6 +25,7 @@ from typing import Callable, Optional, Sequence
 __all__ = ["DomainError", "ExactnessError", "div_exact", "div_exact_each", "parse_rational", "index", "route"]
 
 _RATIONAL_RE = re.compile(r"([+-]?[0-9]+)(?:/([+-]?[0-9]+))?\Z")
+_MAX_DIGITS = 4300  # CPython's default int(str) limit, kept where a caller lifts it
 
 
 class DomainError(ValueError):
@@ -68,10 +69,14 @@ def div_exact_each(values: Sequence[int], divisor: int) -> list[int]:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "22/7" or "-123" into a normalized Fraction; "1/0" is a DomainError too."""
+    """Parse "22/7" or "-123" into a normalized Fraction; "1/0" is a DomainError too,
+    and so is a numerator or denominator of more than 4300 digits."""
     m = _RATIONAL_RE.match(text)
     if not m:
         raise DomainError(f"not a rational literal: {text!r}")
+    digits = max(len(part.lstrip("+-")) for part in m.groups(""))
+    if digits > _MAX_DIGITS:
+        raise DomainError(f"a numerator or denominator of {digits} digits, more than {_MAX_DIGITS}")
     den = int(m.group(2) or 1)
     if den == 0:
         raise DomainError(f"zero denominator in {text!r}")

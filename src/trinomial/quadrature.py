@@ -123,7 +123,8 @@ def fourier_decomposition_check(n: int) -> bool:
 
 def _mapped_integral(lo: float, hi: float, lam: int, tol: float, scale: float) -> QuadratureResult:
     """Int_0^pi cos(lam phi) / (lo sin^2(phi/2) + hi cos^2(phi/2)) dphi, lo, hi > 0,
-    on the fewest panels of the disk map whose error bound meets tol scale / 4.
+    on the fewest panels of the disk map whose error bound meets tol scale / 4;
+    MIN_TOL <= tol < 1, else DomainError.
 
     The kernel is P_t(phi) / sqrt(lo hi), a Poisson kernel with pole radius
     t = (sqrt(lo) - sqrt(hi)) / (sqrt(lo) + sqrt(hi)).  The map tan(phi/2) =
@@ -144,8 +145,8 @@ def _mapped_integral(lo: float, hi: float, lam: int, tol: float, scale: float) -
     by about eps pi; phi -> pi - phi swaps lo and hi and multiplies the value
     by (-1)^lam, which puts the peak at psi = 0, where the nodes are exact.
     """
-    if not MIN_TOL <= tol < math.inf:
-        raise DomainError(f"tol must be finite and at least {MIN_TOL}, got {tol}")
+    if not MIN_TOL <= tol < 1.0:
+        raise DomainError(f"tol must be at least {MIN_TOL} and below 1, got {tol}")
     sign = (-1) ** lam if lo < hi else 1
     lo, hi = max(lo, hi), min(lo, hi)
     s = (hi / lo) ** 0.25
@@ -157,11 +158,11 @@ def _mapped_integral(lo: float, hi: float, lam: int, tol: float, scale: float) -
         log_m += lam * math.log((1.0 - a * rho) / (rho - a))
         log_m += math.log((1.0 - a * a) * rho / ((1.0 - a * rho) * (rho - a)))
     # smallest m >= 1 with M rho^m / (1 - rho^m) <= C = tol scale / (8 pi M), that is
-    # rho^m <= C / (1 + C), then N = ceil(m / 2).  Both are kept as logs, since tol scale
-    # can overflow; log(C / (1 + C)) takes the form whose exp stays at most 1
+    # rho^m <= C / (1 + C), then N = ceil(m / 2); C <= tol / 8 < 1, as M >= 1 and scale
+    # <= max(1, pi M) for the b checks and M = scale / pi for gf
     log_c = math.log(tol / (8.0 * math.pi)) + math.log(scale) - log_m
-    log_share = log_c - math.log1p(math.exp(log_c)) if log_c < 0.0 else -math.log1p(math.exp(-log_c))
-    m = max(1, math.ceil(log_share / math.log(rho)))
+    log_share = log_c - math.log1p(math.exp(log_c))
+    m = math.ceil(log_share / math.log(rho))
     panels = (m + 1) // 2
 
     def f(psi: float) -> float:
@@ -171,10 +172,7 @@ def _mapped_integral(lo: float, hi: float, lam: int, tol: float, scale: float) -
         return math.cos(2.0 * lam * math.atan(u)) * (1.0 + u * u) / (lo * u * u + hi) * jacobian
 
     value = sign * integrate_0_pi(f, panels).value
-    try:
-        aliased = math.exp(log_m + 2 * panels * math.log(rho))
-    except OverflowError:  # the bound meets tol scale / 4, which can pass the largest double
-        aliased = math.inf
+    aliased = math.exp(log_m + 2 * panels * math.log(rho))  # at most M C = tol scale / (8 pi)
     return QuadratureResult(value, 2.0 * math.pi * aliased / (1.0 - rho ** (2 * panels)), panels)
 
 

@@ -237,7 +237,10 @@ def z_series_diagonals(lams: range, max_n: int) -> list[list[int]]:
 
     The first diagonal takes P and M to order max_n - lam from one root, and
     M^lam in one pass by Miller's recurrence; each further diagonal is one
-    more factor of M at one order less, on the bare coefficients.
+    more factor of M at one order less, on the bare coefficients.  Each diagonal
+    that reaches n = lam + 1 checks z(lam + 1, lam) = lam + 1, the paper's
+    T(n, 1) = n, read as [x^1] P M^lam = 1 + lam, and raises ExactnessError
+    otherwise: a wrong power of M passes every division of _power, not this.
     """
     lo = lams.start
     root, m = _root_and_m(max_n - lo + 2)  # P and M to x^(max_n - lo), from one root
@@ -248,6 +251,9 @@ def z_series_diagonals(lams: range, max_n: int) -> list[list[int]]:
     for lam in lams[1:]:
         q = _mul(q[: max_n - lam + 1], m)  # _mul reads m only to q's order
         rows.append([0] * lam + list(q))
+    for lam, row in zip(lams, rows):
+        if lam < max_n and row[lam + 1] != lam + 1:
+            raise ExactnessError(f"series route: z({lam + 1}, {lam}) = {row[lam + 1]}, not {lam + 1}")
     return rows
 
 

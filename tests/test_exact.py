@@ -14,7 +14,7 @@ import pytest
 
 import trinomial
 from trinomial import binomial, diagonal_sums, differences, methods, quadrature, recurrences, series, triangle
-from trinomial.exact import ExactnessError, div_exact, div_exact_each, index, parse_rational
+from trinomial.exact import DomainError, ExactnessError, div_exact, div_exact_each, index, parse_rational
 
 
 def test_div_exact_golden() -> None:
@@ -132,6 +132,15 @@ def test_parse_rational() -> None:
         parse_rational("1/0")
     with pytest.raises(ValueError):
         parse_rational("1//2")
+
+
+@pytest.mark.parametrize("text", ["1" * 5000, "1/" + "7" * 4301, "-" + "0" * 4301 + "/3"])
+def test_parse_rational_refuses_past_4300_digits_as_bad_input(text: str) -> None:
+    # int() past CPython's default limit raises a plain ValueError, which the CLI takes for a bug
+    digits = max(len(part.lstrip("+-")) for part in text.split("/"))
+    with pytest.raises(DomainError, match=f"of {digits} digits, more than 4300"):
+        parse_rational(text)
+    assert parse_rational("1" * 4300 + "/" + "9" * 4300) == Fraction(int("1" * 4300), int("9" * 4300))
 
 
 def test_parse_format_round_trip() -> None:

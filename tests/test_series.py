@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from trinomial import series
+from trinomial import methods, series
 from trinomial.exact import ExactnessError
 from trinomial.recurrences import general_sequence
 from trinomial.series import (
@@ -265,6 +265,18 @@ def test_a_deep_series_diagonal_raises_m_to_its_power_in_one_pass(monkeypatch) -
         (diagonal,) = z_series_diagonals(range(lo, lo + 1), max_n)
         assert calls == [max_n - lo + 1], lo
         assert diagonal == [tri.coeff(n, n + lo) for n in range(max_n + 1)], lo
+
+
+def test_a_wrong_power_of_m_fails_the_series_route_own_check(monkeypatch) -> None:
+    # M^4 for M^3 passes every division of _power and gives z(4, 3) = 5; only the
+    # route's own T(n, 1) = n, read as [x^1] P M^lam = 1 + lam, sees it
+    power = series._power
+    monkeypatch.setattr(series, "_power", lambda b, p, q, order: power(b, p + (q == 1), q, order))
+    with pytest.raises(ExactnessError, match=re.escape("series route: z(4, 3) = 5, not 4")):
+        methods.diagonal_values("series", 3, 10)
+    with pytest.raises(ExactnessError):
+        z_series_diagonals(range(3, 6), 10)
+    assert z_series_diagonals(range(0, 1), 10) == [list(general_sequence(0, 10))]  # no power of M
 
 
 @pytest.mark.parametrize("radicand", [(1, -2, -3), (1, 4), (1, 2, 1), (1, -6, 9), (1, 0, 4, 0, 4)])
