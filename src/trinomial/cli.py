@@ -226,8 +226,7 @@ def _attach_negative_values(argv: Sequence[str]) -> list[str]:
     """Write "--x -1/2" as "--x=-1/2".
 
     argparse only takes plain negative decimals such as -3 for values, so
-    a negative rational or exponent after an option would be read as an
-    unknown flag.
+    a negative rational after an option would be read as an unknown flag.
     """
     out: list[str] = []
     for arg in argv:

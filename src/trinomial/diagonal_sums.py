@@ -69,10 +69,10 @@ def _diagonals(kernel: Callable[[int, int, Run], list[int]], lams: range, max_n:
     return [kernel(lam, max_n, run) for lam in lams]
 
 
-# Each kernel reads run(c, lo, hi) = C(lo..hi, c), and adds a summation index into
-# acc[start:] = z(start..max_n, lam) with one map over the slice.  The factors span
-# that slice exactly, so a single diagonal's run starts where char is cheapest, at
-# the lowest m the sum reads.
+# Each kernel reads run(c, lo, hi) = C(lo..hi, c) into acc = z(lam..max_n, lam), and
+# adds summation index a, alive for n >= start = lam + 2a, into acc[2a:] with one map
+# over the slice.  The factors span that slice exactly, so a single diagonal's run
+# starts where char is cheapest, at the lowest m the sum reads.
 def _products(run: Run, c: int, d: int, start: int, max_n: int) -> Iterator[int]:
     # C(c..c + max_n - start, c) C(start..max_n, d), entry by entry
     if c == d:  # lam = 0: both factors read column c, so it is built once
@@ -82,16 +82,15 @@ def _products(run: Run, c: int, d: int, start: int, max_n: int) -> Iterator[int]
 
 
 def _form1(lam: int, max_n: int, run: Run) -> list[int]:
-    acc = [0] * (max_n + 1)
+    acc = [0] * (max_n + 1 - lam)
     for a in range((max_n - lam) // 2 + 1):  # until lam + 2a > max_n
-        start = lam + 2 * a
-        acc[start:] = map(add, acc[start:], _products(run, lam + a, a, start, max_n))
+        acc[2 * a :] = map(add, acc[2 * a :], _products(run, lam + a, a, lam + 2 * a, max_n))
     return acc
 
 
 @route
 def z_sum_form1(lams: range, max_n: int) -> list[list[int]]:
-    """z(0..max_n, lam) for each lam in lams, with
+    """z(lam..max_n, lam) for each lam in lams, with
     z(n, lam) = sum over a of char(n, a) * char(n - a, lam + a).
 
     Term a vanishes for n < lam + 2a, so index a adds to n >= lam + 2a
@@ -101,37 +100,34 @@ def z_sum_form1(lams: range, max_n: int) -> list[list[int]]:
 
 
 def _form2(lam: int, max_n: int, run: Run) -> list[int]:
-    acc = [0] * (max_n + 1)
-    for j in range(lam, max_n + 1):  # j = lam + k, until j > max_n
-        k = j - lam
-        if j + k <= max_n:  # the second factor is zero below n = j + k
-            acc[j + k :] = map(add, acc[j + k :], _products(run, k, j, j + k, max_n))
+    acc = [0] * (max_n + 1 - lam)
+    for k in range((max_n - lam) // 2 + 1):  # the second factor is zero below n = lam + 2k
+        acc[2 * k :] = map(add, acc[2 * k :], _products(run, k, lam + k, lam + 2 * k, max_n))
     return acc
 
 
 @route
 def z_sum_form2(lams: range, max_n: int) -> list[list[int]]:
-    """z(0..max_n, lam) for each lam in lams, with
+    """z(lam..max_n, lam) for each lam in lams, with
     z(n, lam) = sum over k of char(n, lam + k) * char(n - lam - k, k).
 
-    Unlike form 1, the second factor can vanish while the first is still
-    alive, so only the first factor going to zero, at lam + k > max_n,
-    ends the sum; index k adds to n >= lam + 2k only.
+    Unlike form 1, the second factor vanishes for n < lam + 2k while the
+    first is still alive; so index k adds to n >= lam + 2k only, and the sum
+    stops once lam + 2k passes max_n.
     """
     return _diagonals(_form2, lams, max_n)
 
 
 def _form3(lam: int, max_n: int, run: Run) -> list[int]:
-    acc = [0] * (max_n + 1)
-    for j in range(lam, max_n + 1, 2):  # j = lam + 2k, until j > max_n
-        k = (j - lam) // 2
-        acc[j:] = map(add, acc[j:], map(mul, repeat(run(k, j, j)[0]), run(j, j, max_n)))
+    acc = [0] * (max_n + 1 - lam)
+    for k, j in enumerate(range(lam, max_n + 1, 2)):  # j = lam + 2k, until j > max_n
+        acc[2 * k :] = map(add, acc[2 * k :], map(mul, repeat(run(k, j, j)[0]), run(j, j, max_n)))
     return acc
 
 
 @route
 def z_sum_form3(lams: range, max_n: int) -> list[list[int]]:
-    """z(0..max_n, lam) for each lam in lams, with
+    """z(lam..max_n, lam) for each lam in lams, with
     z(n, lam) = sum over k of char(lam + 2k, k) * char(n, lam + 2k).
 
     Index k adds to n >= lam + 2k, where the second factor is alive, and
@@ -168,18 +164,18 @@ def z_term_ratio(n: int, lam: int) -> tuple[int, list[int]]:
 
 def _ratio_diagonal(lam: int, max_n: int, run: Run) -> list[int]:
     terms = run(lam, lam, max_n)  # the first terms C(n, lam), n = lam..max_n
-    totals = [0] * lam + terms
+    totals = list(terms)
     pronic = [u * (u - 1) for u in range(2, max_n - lam + 1)]
     for a in range((max_n - lam) // 2):
         # term a + 1 is alive for n >= lam + 2a + 2 (u >= 2), the tail of term a's span
         terms = _ratio_step(list(map(mul, terms[2:], pronic)), lam, a)
-        totals[lam + 2 * a + 2 :] = map(add, totals[lam + 2 * a + 2 :], terms)
+        totals[2 * a + 2 :] = map(add, totals[2 * a + 2 :], terms)
     return totals
 
 
 @route
 def z_ratio_diagonals(lams: range, max_n: int) -> list[list[int]]:
-    """z(0..max_n, lam) for each lam in lams by the term ratio of
+    """z(lam..max_n, lam) for each lam in lams by the term ratio of
     z_term_ratio, each step taken for every n still alive at once, its first
     terms C(n, lam) read as column lam, as the sums read theirs."""
     return _diagonals(_ratio_diagonal, lams, max_n)

@@ -45,15 +45,14 @@ def delta_expansion_coefficients(lam: int) -> list[int]:
 
 @route
 def z_delta_diagonals(lams: range, max_n: int) -> list[list[int]]:
-    """z(0..max_n, lam) for each lam in lams by the Delta expansion.
+    """z(lam..max_n, lam) for each lam in lams by the Delta expansion.
 
     One pass over the orders k = 0..top, top the largest lam in lams:
     Delta^k p(lam..max_n) is added, times its coefficient, into the doubled
     diagonal of each lam >= k of the same parity, and Delta^(k+1) is then
-    taken from it.  Below n = lam a diagonal is zero and is not computed,
-    and no order is taken below n = lo, the smallest lam.
-    Each doubled diagonal is checked to be even and halved.  lam = 0 is
-    the central column itself.
+    taken from it.  No order is taken below n = lo, the smallest lam.  Each
+    doubled diagonal is checked to be even and halved.  lam = 0 is the
+    central column itself.
     """
     lo, top = lams[0], lams[-1]
     row = list(general_sequence(0, max_n + top))
@@ -71,8 +70,6 @@ def z_delta_diagonals(lams: range, max_n: int) -> list[list[int]]:
     for lam, values in doubled.items():
         for n, value in enumerate(values, lam):
             if value & 1:
-                raise ExactnessError(
-                    f"Delta expansion for lam={lam}, n={n} gave odd value {value}"
-                )
-        doubled[lam] = [0] * lam + [value >> 1 for value in values]
+                raise ExactnessError(f"Delta expansion for lam={lam}, n={n} gave odd value {value}")
+        doubled[lam] = [value >> 1 for value in values]
     return [center if lam == 0 else doubled[lam] for lam in lams]

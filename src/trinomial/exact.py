@@ -16,6 +16,7 @@ as a quadrature point given as "1/4".  No floats are produced here.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from functools import wraps
 from itertools import repeat
@@ -69,14 +70,16 @@ def div_exact_each(values: Sequence[int], divisor: int) -> list[int]:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "22/7" or "-123" into a normalized Fraction; "1/0" is a DomainError too,
-    and so is a numerator or denominator of more than 4300 digits."""
+    """Parse "22/7" or "-123" into a normalized Fraction; "1/0" is a DomainError too, and
+    so is a numerator or denominator past 4300 digits or a lower int(str) digit limit."""
     m = _RATIONAL_RE.match(text)
     if not m:
         raise DomainError(f"not a rational literal: {text!r}")
     digits = max(len(part.lstrip("+-")) for part in m.groups(""))
-    if digits > _MAX_DIGITS:
-        raise DomainError(f"a numerator or denominator of {digits} digits, more than {_MAX_DIGITS}")
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0  # 0: none
+    cap = min(_MAX_DIGITS, limit or _MAX_DIGITS)
+    if digits > cap:
+        raise DomainError(f"a numerator or denominator of {digits} digits, more than {cap}")
     den = int(m.group(2) or 1)
     if den == 0:
         raise DomainError(f"zero denominator in {text!r}")
@@ -99,9 +102,9 @@ Route = Callable[[range, int], list[list[int]]]
 def route(body: Route) -> Route:
     """body(lams, max_n) behind the one contract of the registered routes (see
     methods): refuse a max_n that breaks the index rule and lams that is no
-    range(lo >= 0, hi) of step 1, run body on the live diagonals
-    range(lo, min(hi, max_n + 1)) only, if any, and append the all-zero
-    diagonals past max_n."""
+    range(lo >= 0, hi) of step 1, run body on the live lams <= max_n only, check
+    that it returns z(lam..max_n, lam) for each, with z(lam, lam) = 1 and, below
+    max_n, z(lam + 1, lam) = lam + 1, else ExactnessError, and add every zero."""
 
     @wraps(body)
     def guarded(lams: range, max_n: int) -> list[list[int]]:
@@ -110,6 +113,14 @@ def route(body: Route) -> Route:
             raise DomainError(f"need range(lo >= 0, hi) of step 1, got {lams!r}")
         live = range(lams.start, min(lams.stop, max_n + 1))
         rows = body(live, max_n) if live else []
-        return rows + [[0] * (max_n + 1) for _ in range(len(lams) - len(live))]
+        if [len(row) for row in rows] != [max_n + 1 - lam for lam in live]:
+            raise ExactnessError(f"{body.__name__} did not return z(lam..{max_n}, lam) for lam in {live}")
+        for lam, row in zip(live, rows):
+            if row[0] != 1:
+                raise ExactnessError(f"{body.__name__}: z({lam}, {lam}) = {row[0]}, not 1")
+            if lam < max_n and row[1] != lam + 1:
+                raise ExactnessError(f"{body.__name__}: z({lam + 1}, {lam}) = {row[1]}, not {lam + 1}")
+        padded = [[0] * lam + row for lam, row in zip(live, rows)]
+        return padded + [[0] * (max_n + 1) for _ in lams[len(live) :]]
 
     return guarded

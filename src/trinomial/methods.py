@@ -5,8 +5,9 @@ one contract, enforced by the one guard exact.route they wear: a route takes
 (lams, max_n) and returns z(0..max_n, lam) for each lam in lams, in one pass.
 max_n keeps the index rule of exact.index; lams must be a range(lo, hi) of
 step 1 with lo >= 0, else DomainError "need range(lo >= 0, hi) of step 1,
-got range(0, 5, 2)".  A diagonal past max_n is all zeros, and its route
-body never sees it.
+got range(0, 5, 2)".  The body behind a route computes z(lam..max_n, lam) for
+lam <= max_n only; the guard checks each edge, z(lam, lam) = 1 and
+z(lam + 1, lam) = lam + 1, and adds every zero.
 
 Having one registry keeps the cross-checking honest: the CLI, the
 benchmark, and the consistency tests all draw from the same table, so no

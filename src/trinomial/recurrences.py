@@ -48,5 +48,5 @@ def general_sequence(lam: int, max_n: int) -> tuple[int, ...]:
 
 @route
 def z_recurrence_diagonals(lams: range, max_n: int) -> list[list[int]]:
-    """z(0..max_n, lam) for each lam in lams, one general_sequence each."""
-    return [list(general_sequence(lam, max_n)) for lam in lams]
+    """z(lam..max_n, lam) for each lam in lams, one general_sequence each."""
+    return [list(general_sequence(lam, max_n)[lam:]) for lam in lams]

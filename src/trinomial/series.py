@@ -233,27 +233,23 @@ def gf_nu(order: int) -> PowerSeries:
 
 @route
 def z_series_diagonals(lams: range, max_n: int) -> list[list[int]]:
-    """z(0..max_n, lam) for each lam in lams, as [x^(n - lam)] P M^lam.
+    """z(lam..max_n, lam) for each lam in lams, as [x^(n - lam)] P M^lam.
 
     The first diagonal takes P and M to order max_n - lam from one root, and
     M^lam in one pass by Miller's recurrence; each further diagonal is one
-    more factor of M at one order less, on the bare coefficients.  Each diagonal
-    that reaches n = lam + 1 checks z(lam + 1, lam) = lam + 1, the paper's
-    T(n, 1) = n, read as [x^1] P M^lam = 1 + lam, and raises ExactnessError
-    otherwise: a wrong power of M passes every division of _power, not this.
+    more factor of M at one order less, on the bare coefficients.  A wrong
+    power of M passes every division of _power, but not the edge check of
+    exact.route: z(lam + 1, lam) = [x^1] P M^lam = 1 + lam.
     """
     lo = lams.start
     root, m = _root_and_m(max_n - lo + 2)  # P and M to x^(max_n - lo), from one root
     q = _p_from_root(root, max_n - lo)
     if lo:
         q = _mul(q, tuple(_power(m, lo, 1, max_n - lo)))
-    rows = [[0] * lo + list(q)]
+    rows = [list(q)]
     for lam in lams[1:]:
         q = _mul(q[: max_n - lam + 1], m)  # _mul reads m only to q's order
-        rows.append([0] * lam + list(q))
-    for lam, row in zip(lams, rows):
-        if lam < max_n and row[lam + 1] != lam + 1:
-            raise ExactnessError(f"series route: z({lam + 1}, {lam}) = {row[lam + 1]}, not {lam + 1}")
+        rows.append(list(q))
     return rows
 
 

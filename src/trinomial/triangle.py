@@ -74,9 +74,9 @@ def row(n: int) -> tuple[int, ...]:
 
 @route
 def z_oracle_diagonals(lams: range, max_n: int) -> list[list[int]]:
-    """z(0..max_n, lam) for each lam in lams: row n holds z(n, lam) at index n + lam,
-    and 0 past its end.  The rows are streamed, so only the diagonals are kept."""
-    diagonals = [[0] * lam for lam in lams]
+    """z(lam..max_n, lam) for each lam in lams: row n holds z(n, lam) at index n + lam,
+    for n >= lam.  The rows are streamed, so only the diagonals are kept."""
+    diagonals: list[list[int]] = [[] for _ in lams]
     for n, row in enumerate(_rows(max_n)):
         for diagonal, value in zip(diagonals, row[n + lams.start : n + lams.stop]):
             diagonal.append(value)

@@ -14,7 +14,9 @@ import pytest
 
 import trinomial
 from trinomial import binomial, diagonal_sums, differences, methods, quadrature, recurrences, series, triangle
-from trinomial.exact import DomainError, ExactnessError, div_exact, div_exact_each, index, parse_rational
+from trinomial.exact import (
+    DomainError, ExactnessError, div_exact, div_exact_each, index, parse_rational, route,
+)
 
 
 def test_div_exact_golden() -> None:
@@ -143,6 +145,22 @@ def test_parse_rational_refuses_past_4300_digits_as_bad_input(text: str) -> None
     assert parse_rational("1" * 4300 + "/" + "9" * 4300) == Fraction(int("1" * 4300), int("9" * 4300))
 
 
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int(str) limit before 3.10.7")
+def test_parse_rational_refuses_past_a_lowered_int_limit_as_bad_input() -> None:
+    # with the limit at 640, int() raises its plain ValueError past 640 digits, well inside 4300
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        with pytest.raises(DomainError, match="of 1000 digits, more than 640"):
+            parse_rational("1" * 1000)
+        assert parse_rational("7/" + "1" * 640) == Fraction(7, int("1" * 640))
+        sys.set_int_max_str_digits(0)  # no limit, as the CLI sets it: 4300 still holds
+        with pytest.raises(DomainError, match="of 5000 digits, more than 4300"):
+            parse_rational("1" * 5000)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def test_parse_format_round_trip() -> None:
     rng = random.Random(11)
     for _ in range(100):
@@ -228,3 +246,65 @@ def test_a_warm_cache_does_not_let_a_float_index_through() -> None:
         series.gf_Z(1, 3.0)
     with pytest.raises(TypeError, match="^lam must be an int, got 1.0$"):
         series.gf_Z(1.0, 3)
+
+
+def _edges(lams: range, max_n: int) -> list[list[int]]:
+    # a well-behaved body: z(lam..max_n, lam) starting 1, lam + 1, then 7s
+    return [[1, lam + 1, *[7] * (max_n - lam - 1)][: max_n + 1 - lam] for lam in lams]
+
+
+def test_the_route_guard_pads_a_live_only_body_to_max_n_plus_one_values() -> None:
+    seen = []
+
+    def live_only(lams: range, max_n: int) -> list[list[int]]:
+        seen.append((lams, max_n))
+        return _edges(lams, max_n)
+
+    assert route(live_only)(range(1, 6), 3) == [[0, 1, 2, 7], [0, 0, 1, 3], [0, 0, 0, 1], [0] * 4, [0] * 4]
+    assert seen == [(range(1, 4), 3)]
+
+
+@pytest.mark.parametrize("lam,n", [(0, 0), (0, 1), (3, 3), (3, 4)])
+def test_the_route_guard_checks_each_edge_value_naming_the_body(lam: int, n: int) -> None:
+    def wrong_edge(lams: range, max_n: int) -> list[list[int]]:
+        rows = _edges(lams, max_n)
+        rows[-1][n - lam] += 1
+        return rows
+
+    want = 1 + (n - lam) * lam  # z(lam, lam) = 1, z(lam + 1, lam) = lam + 1
+    message = f"wrong_edge: z({n}, {lam}) = {want + 1}, not {want}"
+    with pytest.raises(ExactnessError, match=re.escape(message)):
+        route(wrong_edge)(range(lam + 1), 6)
+
+
+def test_at_lam_max_n_the_guard_checks_z_lam_lam_only() -> None:
+    def last(lams: range, max_n: int) -> list[list[int]]:
+        return [[1] for _ in lams]  # no z(lam + 1, lam) to check
+
+    def wrong_last(lams: range, max_n: int) -> list[list[int]]:
+        return [[2] for _ in lams]
+
+    assert route(last)(range(5, 7), 5) == [[0] * 5 + [1], [0] * 6]
+    with pytest.raises(ExactnessError, match=re.escape("wrong_last: z(5, 5) = 2, not 1")):
+        route(wrong_last)(range(5, 6), 5)
+
+
+def test_the_route_guard_refuses_a_body_that_returns_zeros_below_lam() -> None:
+    def padded(lams: range, max_n: int) -> list[list[int]]:
+        return [[0] * lam + row for lam, row in zip(lams, _edges(lams, max_n))]
+
+    message = "padded did not return z(lam..4, lam) for lam in range(2, 4)"
+    with pytest.raises(ExactnessError, match=re.escape(message)):
+        route(padded)(range(2, 4), 4)
+    assert route(padded)(range(0, 1), 4) == route(_edges)(range(0, 1), 4)  # at lam = 0 nothing is below
+
+
+@pytest.mark.parametrize("method", methods.METHOD_NAMES)
+def test_every_route_wears_the_guard_and_its_body_returns_live_values_only(method: str) -> None:
+    registered = methods._METHODS[method]
+    assert registered.__code__ is route(_edges).__code__  # exact.route's guard itself
+    assert registered.__wrapped__.__name__ == registered.__name__
+    for lams, max_n in ((range(0, 4), 6), (range(2, 7), 6), (range(3, 4), 9)):
+        rows = registered.__wrapped__(lams, max_n)
+        assert [len(row) for row in rows] == [max_n + 1 - lam for lam in lams], lams
+        assert [row[:2] for row in rows] == [[1, lam + 1][: max_n + 1 - lam] for lam in lams], lams

@@ -269,10 +269,10 @@ def test_a_deep_series_diagonal_raises_m_to_its_power_in_one_pass(monkeypatch) -
 
 def test_a_wrong_power_of_m_fails_the_series_route_own_check(monkeypatch) -> None:
     # M^4 for M^3 passes every division of _power and gives z(4, 3) = 5; only the
-    # route's own T(n, 1) = n, read as [x^1] P M^lam = 1 + lam, sees it
+    # edge check of exact.route, T(n, 2n - 1) = n, read as [x^1] P M^lam = 1 + lam, sees it
     power = series._power
     monkeypatch.setattr(series, "_power", lambda b, p, q, order: power(b, p + (q == 1), q, order))
-    with pytest.raises(ExactnessError, match=re.escape("series route: z(4, 3) = 5, not 4")):
+    with pytest.raises(ExactnessError, match=re.escape("z_series_diagonals: z(4, 3) = 5, not 4")):
         methods.diagonal_values("series", 3, 10)
     with pytest.raises(ExactnessError):
         z_series_diagonals(range(3, 6), 10)
