@@ -149,15 +149,11 @@ def _cmd_quad(args: argparse.Namespace) -> int:
 def _cmd_identity(args: argparse.Namespace) -> int:
     b = _inside(args.b, "b", Fraction(0), Fraction(1), "0 < b < 1")
     index("--lambda-max", args.lambda_max)
-    failures = 0
-    for lam in range(args.lambda_max + 1):
-        ok = quadrature.b_identity_check(b, lam)
+    checks, chain_ok = quadrature._identity_checks(b, args.lambda_max)
+    for lam, ok in enumerate(checks):
         print(f"closed form, lam={lam}: {'ok' if ok else 'FAILED'}")
-        failures += 0 if ok else 1
-    chain_ok = quadrature.b_reduction_chain_check(b, max(args.lambda_max, 1))
     print(f"reduction chain to lam={max(args.lambda_max, 1)}: {'ok' if chain_ok else 'FAILED'}")
-    failures += 0 if chain_ok else 1
-    return 1 if failures else 0
+    return 0 if all(checks) and chain_ok else 1
 
 
 def _add_format(parser: argparse.ArgumentParser) -> None:

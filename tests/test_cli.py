@@ -264,7 +264,9 @@ def test_identity_ok(capsys) -> None:
 
 
 def test_identity_failure_exits_one(capsys, monkeypatch) -> None:
-    monkeypatch.setattr(quadrature, "b_identity_check", lambda b, lam: lam != 2)
+    # a wrong closed form for I(2) fails its line alone: the chain reads only I(0)'s
+    closed_form = quadrature._closed_form
+    monkeypatch.setattr(quadrature, "_closed_form", lambda b, lam: closed_form(b, lam) + (lam == 2))
     code, out, _ = _run(capsys, "identity", "--b", "3/10", "--lambda-max", "3")
     assert code == 1
     assert out.splitlines() == [

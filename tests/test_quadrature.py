@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 import re
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -145,9 +146,9 @@ def test_mapped_integral_swaps_its_peak_with_sign_minus_one_to_the_lam() -> None
     # phi -> pi - phi swaps lo and hi and multiplies cos(3 phi) by -1
     tol = 1e-12
     for lo, hi in ((4.0, 0.5), (1e-10, 4.0), (1.0, 1.0 + 1e-9)):
-        swapped = quadrature._mapped_integral(hi, lo, 3, tol, 1.0).value
-        direct = quadrature._mapped_integral(lo, hi, 3, tol, 1.0).value
-        assert abs(swapped + direct) <= tol, (lo, hi)
+        [swapped] = quadrature._mapped_integral(hi, lo, range(3, 4), tol, [1.0])
+        [direct] = quadrature._mapped_integral(lo, hi, range(3, 4), tol, [1.0])
+        assert abs(swapped.value + direct.value) <= tol, (lo, hi)
 
 
 @pytest.fixture
@@ -165,25 +166,95 @@ def panel_calls(monkeypatch) -> list[tuple[int, list[float]]]:
     return calls
 
 
-def test_b_identity_past_the_panel_budget_raises_before_evaluating(panel_calls) -> None:
-    with pytest.raises(QuadratureError):
-        b_identity_check(1.0 - 1e-12, 0)
-    assert [evaluated for _, evaluated in panel_calls] == [[]]
+@pytest.fixture
+def mapped_nodes(monkeypatch) -> list[float]:
+    """psi / 2 for each node the disk-map pass evaluates: it takes one math.tan a node."""
+    angles = []
+    real = math.tan
+
+    def spy(half_psi: float) -> float:
+        angles.append(half_psi)
+        return real(half_psi)
+
+    monkeypatch.setattr(math, "tan", spy)
+    return angles
 
 
-def test_each_check_integrates_once_on_a_fixed_panel_count(panel_calls) -> None:
+def one_pass(angles: list[float]) -> int:
+    """The panel count N of the one pass that evaluated these angles: each
+    psi_j / 2 = j pi / (2N), j = 0..N, once and in order."""
+    panels = len(angles) - 1
+    assert all(abs(a - j * math.pi / (2 * panels)) <= 4 * EPS for j, a in enumerate(angles))
+    return panels
+
+
+def test_b_identity_past_the_panel_budget_raises_before_evaluating(panel_calls, mapped_nodes) -> None:
+    for check in (lambda: b_identity_check(1.0 - 1e-12, 0), lambda: b_reduction_chain_check(1.0 - 1e-12, 3)):
+        with pytest.raises(QuadratureError):
+            check()
+    assert mapped_nodes == [] and panel_calls == []
+
+
+def test_each_check_integrates_once_on_a_fixed_panel_count(panel_calls, mapped_nodes) -> None:
+    assert z_by_integral(12, 3)
+    [(panels, evaluated)] = panel_calls
+    assert len(evaluated) == panels + 1 and mapped_nodes == []
     for check in (
-        lambda: z_by_integral(12, 3),
-        lambda: gf_by_integral(math.nextafter(-1.0, 0.0)),
+        lambda: gf_by_integral(math.nextafter(-1.0, 0.0)),  # 78540 panels, many blocks
         lambda: gf_by_integral(0.3),
         lambda: b_identity_check(1e-300, 3),
         lambda: b_identity_check(0.999, 8),
     ):
-        panel_calls.clear()
-        assert check()
-        [(panels, evaluated)] = panel_calls
-        assert len(evaluated) == panels + 1
+        mapped_nodes.clear()
+        result = check()
+        assert result
+        panels = one_pass(mapped_nodes)
+        assert result is True or result.panels == panels
     assert panels <= 1000  # b = 0.999 took 15078 panels before the disk map
+    assert len(panel_calls) == 1  # the disk-map checks do not go through integrate_0_pi
+
+
+def test_the_reduction_chain_makes_one_node_pass_for_all_its_lams(mapped_nodes) -> None:
+    # on the most panels any lam needs at the chain's scale, not one pass per lam
+    b, tol = 0.999, 1e-9
+    scale = max(1.0, math.pi / ((1.0 - b) * (1.0 + b)))
+    per_lam = [
+        quadrature._mapped_integral((1.0 + b) ** 2, (1.0 - b) ** 2, range(lam, lam + 1), tol, [scale])[0].panels
+        for lam in range(9)
+    ]
+    mapped_nodes.clear()
+    assert b_reduction_chain_check(b, 8, tol)
+    assert one_pass(mapped_nodes) == max(per_lam)
+    assert len(mapped_nodes) < sum(per_lam)
+
+
+@pytest.mark.parametrize("b, max_lambda", [(0.3, 0), (0.5, 6), (0.999, 8), (1e-300, 3)])
+def test_the_identity_verbs_pass_serves_both_checks(mapped_nodes, b: float, max_lambda: int) -> None:
+    # one pass on the most panels any lam's own closed-form check needs
+    lams = range(max(max_lambda, 1) + 1)
+    per_lam = [
+        quadrature._mapped_integral(
+            (1.0 + b) ** 2, (1.0 - b) ** 2, range(lam, lam + 1), 1e-9, [max(1.0, quadrature._closed_form(b, lam))]
+        )[0].panels
+        for lam in lams
+    ]
+    mapped_nodes.clear()
+    checks, chain = quadrature._identity_checks(b, max_lambda)
+    assert one_pass(mapped_nodes) == max(per_lam)
+    assert checks == [b_identity_check(b, lam) for lam in range(max_lambda + 1)]
+    assert chain == b_reduction_chain_check(b, lams[-1])
+
+
+def test_a_mapped_pass_holds_its_nodes_in_blocks() -> None:
+    # 78540 panels: one list of every node's value peaked at 2.4 MB traced
+    tracemalloc.start()
+    try:
+        result = gf_by_integral(math.nextafter(-1.0, 0.0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.panels > 10 * quadrature._BLOCK
+    assert peak < 1_000_000
 
 
 def test_gf_by_integral_domain() -> None:
@@ -222,23 +293,26 @@ def test_b_reduction_chain() -> None:
 @pytest.mark.parametrize("lam", [0, 1, 3])
 def test_b_reduction_chain_fails_on_one_perturbed_integral(monkeypatch, lam: int) -> None:
     # I(0) fails its closed form, I(1) the anchor (1 + b^2) I(0) - 2b I(1) = pi, and a
-    # middle I(lam) the three-term step into it
+    # middle I(lam) the three-term step into it; all of them come from one pass
     poisson = quadrature._poisson_integral
+    passes = []
 
-    def perturbed(b: float, k: int, tol: float, scale: float) -> QuadratureResult:
-        result = poisson(b, k, tol, scale)
-        return result._replace(value=result.value + (1e-6 if k == lam else 0.0))
+    def perturbed(b: float, lams: range, tol: float, scales: list[float]) -> list[float]:
+        passes.append(lams)
+        values = poisson(b, lams, tol, scales)
+        values[lam] += 1e-6
+        return values
 
     monkeypatch.setattr(quadrature, "_poisson_integral", perturbed)
     assert not b_reduction_chain_check(0.5, 5)
+    assert passes == [range(6)]
 
 
 def test_gf_by_integral_raises_when_it_misses_the_closed_form(monkeypatch) -> None:
     mapped = quadrature._mapped_integral
 
-    def off(*args: float) -> QuadratureResult:
-        result = mapped(*args)
-        return result._replace(value=result.value * (1 + 1e-6))
+    def off(*args) -> list[QuadratureResult]:
+        return [result._replace(value=result.value * (1 + 1e-6)) for result in mapped(*args)]
 
     monkeypatch.setattr(quadrature, "_mapped_integral", off)
     with pytest.raises(QuadratureError, match="vs closed form"):
